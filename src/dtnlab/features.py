@@ -269,8 +269,9 @@ def assemble_dataset(
     train_idx, test_idx = stratified_split(
         labels, test_fraction, random.Random(f"{seed}:split")
     )
+    test_set = set(test_idx)
     for i, row in enumerate(rows):
-        row["split"] = "test" if i in set(test_idx) else "train"
+        row["split"] = "test" if i in test_set else "train"
 
     train_rows = [rows[i] for i in train_idx]
     medians = []

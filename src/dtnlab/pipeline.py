@@ -292,7 +292,7 @@ def run_sweep(
         for regime in config.regimes:
             cell_spec = with_regime(spec, regime)
             for seed in config.seeds:
-                contact_fingerprint: str | None = None
+                reference_contacts: list[ContactEvent] | None = None
                 for protocol in config.protocols:
                     if progress:
                         progress(f"{spec.name} {regime} {protocol} seed {seed}")
@@ -306,10 +306,9 @@ def run_sweep(
                     run_dir = out / spec.name / regime / protocol / f"seed{seed}"
                     metrics = write_run(run_dir, output, cell_spec)
                     cells[(spec.name, regime, protocol, seed)] = metrics
-                    lines = "\n".join(contact_log_lines(output.contact_events))
-                    if contact_fingerprint is None:
-                        contact_fingerprint = lines
-                    elif lines != contact_fingerprint:
+                    if reference_contacts is None:
+                        reference_contacts = output.contact_events
+                    elif output.contact_events != reference_contacts:
                         raise RuntimeError(
                             "contact log diverged across protocols for "
                             f"{spec.name}/{regime}/seed{seed}"

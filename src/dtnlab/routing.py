@@ -179,7 +179,9 @@ class DecisionCache:
     """Gate-decision memo keyed by peer and quantized features.
 
     Entries expire after ttl_s of simulated time and are never returned
-    stale.  Feature values are rounded to `decimals` places for the key so
+    stale; `put` drops the expired ones, at most once per ttl_s, so a long
+    run holds only recent entries.  Simulated time must not run backwards.
+    Feature values are rounded to `decimals` places for the key so
     near-identical queries share one entry.
     """
 
@@ -187,6 +189,7 @@ class DecisionCache:
         self.ttl_s = ttl_s
         self.decimals = decimals
         self._entries: dict[tuple, tuple[float, int, float]] = {}
+        self._pruned_at = 0.0
         self.hits = 0
         self.misses = 0
 
@@ -208,6 +211,13 @@ class DecisionCache:
     def put(
         self, peer: NodeId | str, query: RelayQuery, now: float, label: int, prob: float
     ) -> None:
+        if now - self._pruned_at >= self.ttl_s:
+            self._pruned_at = now
+            self._entries = {
+                key: entry
+                for key, entry in self._entries.items()
+                if now - entry[0] <= self.ttl_s
+            }
         self._entries[self._key(peer, query)] = (now, label, prob)
 
     def __len__(self) -> int:

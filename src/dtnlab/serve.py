@@ -30,6 +30,8 @@ from .ml.model_io import LoadedModel, load_model
 from .routing import PredictorUnavailableError
 
 DEFAULT_TIMEOUT_S = 0.05
+MAX_BODY_BYTES = 64 * 1024  # a /predict body is seven numbers; far less than this
+HANDLER_TIMEOUT_S = 10.0  # a connection silent this long, mid-body or idle, is closed
 
 
 def evaluate(model: LoadedModel, body: dict) -> dict:
@@ -79,15 +81,18 @@ class ServiceStats:
 class _Handler(BaseHTTPRequestHandler):
     # keep-alive needs accurate Content-Length on every response
     protocol_version = "HTTP/1.1"
+    timeout = HANDLER_TIMEOUT_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # the service is driven from simulations; stderr chatter off
 
-    def _send(self, code: int, payload: dict) -> None:
+    def _send(self, code: int, payload: dict, close: bool = False) -> None:
         raw = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
+        if close:  # the unread body must not be parsed as the next request
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
 
@@ -116,7 +121,15 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
-            self._send(400, {"error": "bad Content-Length"})
+            self._send(400, {"error": "bad Content-Length"}, close=True)
+            return
+        if length < 0:
+            self._send(400, {"error": "negative Content-Length"}, close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._send(
+                413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True
+            )
             return
         raw = self.rfile.read(length)
         try:

@@ -8,9 +8,13 @@ protocols over the same seed stay comparable.
 Each tick advances time by the fixed mobility step and processes, in this
 order: transfer progress and completions, mobility, link down then up
 transitions, TTL expiry, traffic generation, routing decisions, transfer
-starts.  Within a phase, links are visited sorted by node-index pair and
-nodes by index, which pins the event order and makes logs byte-identical
-across repeated runs.
+starts.  Link transitions come out of detection ordered by node-index pair
+(i < j, row major).  The engine keeps the keys of the open link sessions in
+one sorted list, updated by bisection on link up and down, and every phase
+walks sessions in key order and nodes by index; the transfer phases walk
+only the few sessions with a transfer in flight or a queue waiting, sorted
+out of two key sets.  That sorted-key list is what pins the event order and
+makes logs byte-identical across repeated runs.
 
 Radio model: nodes are linked while their distance is at most the radio
 range.  Transfers are half duplex, one per node at a time, at a fixed link
@@ -25,8 +29,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -112,23 +119,50 @@ class TrafficSource:
         return out
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and flat N x N index of every pair i < j, row major."""
+    rows, cols = np.triu_indices(n, 1)
+    pairs = (rows, cols, rows * n + cols)
+    for index in pairs:
+        index.setflags(write=False)  # shared by every caller with this N
+    return pairs
+
+
 def link_transitions(
     positions: np.ndarray, range2: float, prev_in_range: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, int]], list[tuple[int, int]]]:
     """Symmetric threshold links over pairwise distance; returns transitions.
 
-    A pair is linked while squared distance is at most range2.  Transition
-    pairs come back index-ordered (i < j, row major), which fixes the event
-    order within a tick.
+    A pair is linked while squared distance is at most range2.  Only the
+    upper-triangle pairs are measured and compared with prev_in_range; the
+    returned N x N matrix is a copy of it updated at the changed pairs, or
+    prev_in_range itself when no pair changed.  Transition pairs come back
+    index-ordered (i < j, row major), which fixes the event order within a
+    tick.
     """
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist2 = (diff * diff).sum(axis=2)
-    in_range = dist2 <= range2
-    np.fill_diagonal(in_range, False)
-    changed = np.triu(in_range != prev_in_range, 1)
-    pairs = np.argwhere(changed)
-    ups = [(int(i), int(j)) for i, j in pairs if in_range[i, j]]
-    downs = [(int(i), int(j)) for i, j in pairs if not in_range[i, j]]
+    rows, cols, flat = _upper_pairs(len(positions))
+    x = positions[:, 0]
+    y = positions[:, 1]
+    dist2 = np.take(x, rows)
+    dist2 -= np.take(x, cols)
+    dist2 *= dist2
+    dy = np.take(y, rows)
+    dy -= np.take(y, cols)
+    dy *= dy
+    dist2 += dy
+    linked = dist2 <= range2
+    changed = np.flatnonzero(linked != np.take(prev_in_range, flat))
+    if not len(changed):
+        return prev_in_range, [], []
+    ci, cj, up = rows[changed], cols[changed], linked[changed]
+    in_range = prev_in_range.copy()
+    in_range[ci, cj] = up
+    in_range[cj, ci] = up
+    ups: list[tuple[int, int]] = []
+    downs: list[tuple[int, int]] = []
+    for i, j, is_up in zip(ci.tolist(), cj.tolist(), up.tolist()):
+        (ups if is_up else downs).append((i, j))
     return in_range, ups, downs
 
 
@@ -180,6 +214,11 @@ class Transfer:
     message_id: str
     kind: str
     bytes_left: float
+
+    @property
+    def link(self) -> tuple[int, int]:
+        """Key of the link session that carries this transfer."""
+        return min(self.sender, self.receiver), max(self.sender, self.receiver)
 
 
 @dataclass
@@ -292,13 +331,20 @@ class Simulation:
         self.stats = [NodeStats() for _ in range(n)]
         self.history: list[dict[int, PeerHistory]] = [{} for _ in range(n)]
         self.delivered: list[set[str]] = [set() for _ in range(n)]
-        self.busy = [False] * n
+        # the one transfer each node is part of, as sender or receiver
+        self.in_flight: list[Transfer | None] = [None] * n
         self.sessions: dict[tuple[int, int], LinkSession] = {}
+        self.session_keys: list[tuple[int, int]] = []  # sorted keys of sessions
+        # keys of the sessions with a transfer in flight / with a non-empty queue
+        self._transferring: set[tuple[int, int]] = set()
+        self._queued: set[tuple[int, int]] = set()
         self.positions = np.zeros((n, 2))
         for i, mover in enumerate(self.movers):
             self.positions[i] = mover.pos
         self.prev_in_range = np.zeros((n, n), dtype=bool)
         self.relay_eligible = [node.node_class in MOBILE_CLASSES for node in self.nodes]
+        self._mobile = np.flatnonzero(self.relay_eligible)
+        self._mobile_movers = [self.movers[i] for i in self._mobile]
 
         self.holders: dict[str, set[int]] = {}
         self.open_residency: dict[tuple[int, str], float] = {}
@@ -342,11 +388,14 @@ class Simulation:
     def _tick(self, now: float) -> None:
         self._new_message_nodes.clear()
         self._progress_transfers(now)
-        dt = self.spec.tick_s
-        for i, mover in enumerate(self.movers):
-            if self.relay_eligible[i]:  # only mobile classes move
+        if self._mobile_movers:  # only mobile classes move
+            dt = self.spec.tick_s
+            for mover in self._mobile_movers:
                 mover.advance(dt)
-                self.positions[i] = mover.pos
+            coords = chain.from_iterable(mover.pos for mover in self._mobile_movers)
+            self.positions[self._mobile] = np.fromiter(
+                coords, float, 2 * len(self._mobile)
+            ).reshape(-1, 2)
         ups, downs = self._link_transitions()
         for i, j in downs:
             self._link_down(i, j, now)
@@ -369,14 +418,17 @@ class Simulation:
 
     def _link_up(self, i: int, j: int, now: float) -> None:
         self.sessions[(i, j)] = LinkSession(up_since=now)
+        insort(self.session_keys, (i, j))
         self.contact_events.append(
             ContactEvent(time=round(now, 2), a=self.nodes[i], b=self.nodes[j], up=True)
         )
 
     def _link_down(self, i: int, j: int, now: float) -> None:
         session = self.sessions.pop((i, j))
+        del self.session_keys[bisect_left(self.session_keys, (i, j))]
+        self._queued.discard((i, j))
         if session.transfer is not None:
-            self._abort(session)
+            self._release(session)
         self.contact_events.append(
             ContactEvent(time=round(now, 2), a=self.nodes[i], b=self.nodes[j], up=False)
         )
@@ -395,11 +447,13 @@ class Simulation:
             duration, self.stats[i].snapshot()
         )
 
-    def _abort(self, session: LinkSession) -> None:
+    def _release(self, session: LinkSession) -> None:
+        """Detach the session's transfer, finished or aborted; frees both nodes."""
         transfer = session.transfer
         assert transfer is not None
-        self.busy[transfer.sender] = False
-        self.busy[transfer.receiver] = False
+        self.in_flight[transfer.sender] = None
+        self.in_flight[transfer.receiver] = None
+        self._transferring.discard(transfer.link)
         session.transfer = None
 
     def _expire(self, now: float) -> None:
@@ -411,10 +465,10 @@ class Simulation:
                 self.buffers[holder].remove(mid)
                 self._close_residency(holder, mid, boundary, "expired")
             self.holders.pop(mid, None)
-            for key in sorted(self.sessions):
+            for key in sorted(self._transferring):
                 session = self.sessions[key]
-                if session.transfer is not None and session.transfer.message_id == mid:
-                    self._abort(session)
+                if session.transfer.message_id == mid:
+                    self._release(session)
 
     def _create_message(self, message: Message) -> None:
         self.messages.append(message)
@@ -443,10 +497,9 @@ class Simulation:
             self._new_message_nodes.add(source_idx)
 
     def _sending_ids(self, node: int) -> frozenset[str]:
-        for session in self.sessions.values():
-            t = session.transfer
-            if t is not None and t.sender == node:
-                return frozenset((t.message_id,))
+        t = self.in_flight[node]
+        if t is not None and t.sender == node:
+            return frozenset((t.message_id,))
         return frozenset()
 
     def _drop_holder(self, node: int, mid: str) -> None:
@@ -477,11 +530,14 @@ class Simulation:
         for i, j in ups:
             triggers.append((i, j, i))
             triggers.append((i, j, j))
+        queued = set(triggers)
         for node in sorted(self._new_message_nodes):
-            for key in sorted(self.sessions):
-                if node in key:
-                    if (key[0], key[1], node) not in triggers:
-                        triggers.append((key[0], key[1], node))
+            for i, j in self.session_keys:
+                if node == i or node == j:
+                    trigger = (i, j, node)
+                    if trigger not in queued:
+                        queued.add(trigger)
+                        triggers.append(trigger)
         for i, j, sender in triggers:
             session = self.sessions.get((i, j))
             if session is None:
@@ -521,21 +577,25 @@ class Simulation:
             if action.message_id not in offered_ids:
                 continue
             session.queue.append((sender, receiver, action))
+            self._queued.add((i, j))
 
     # ------------------------------------------------------------- transfers
 
     def _start_transfers(self) -> None:
-        for key in sorted(self.sessions):
+        for key in sorted(self._queued):
             session = self.sessions[key]
-            if session.transfer is not None or not session.queue:
+            if session.transfer is not None:
                 continue
             i, j = key
-            if self.busy[i] or self.busy[j]:
+            if self.in_flight[i] is not None or self.in_flight[j] is not None:
                 continue
             while session.queue:
                 sender, receiver, action = session.queue.popleft()
                 if self._start_one(session, sender, receiver, action):
+                    self._transferring.add(key)
                     break
+            if not session.queue:
+                self._queued.discard(key)
 
     def _start_one(
         self, session: LinkSession, sender: int, receiver: int, action: Action
@@ -561,16 +621,14 @@ class Simulation:
             kind=action.kind,
             bytes_left=float(replica.message.size),
         )
-        self.busy[sender] = True
-        self.busy[receiver] = True
+        self.in_flight[sender] = session.transfer
+        self.in_flight[receiver] = session.transfer
         return True
 
     def _progress_transfers(self, now: float) -> None:
-        for key in sorted(self.sessions):
+        for key in sorted(self._transferring):
             session = self.sessions[key]
             transfer = session.transfer
-            if transfer is None:
-                continue
             transfer.bytes_left -= self._bytes_per_tick
             if transfer.bytes_left <= 0.0:
                 self._complete_transfer(session, transfer, now)
@@ -578,9 +636,7 @@ class Simulation:
     def _complete_transfer(
         self, session: LinkSession, transfer: Transfer, now: float
     ) -> None:
-        session.transfer = None
-        self.busy[transfer.sender] = False
-        self.busy[transfer.receiver] = False
+        self._release(session)
         replica = self.buffers[transfer.sender].get(transfer.message_id)
         if replica is None:
             return  # sender lost the replica mid-flight; treat as aborted
@@ -643,10 +699,10 @@ class Simulation:
     # ------------------------------------------------------------- finishing
 
     def _finish(self, end_time: float) -> None:
-        for key in sorted(self.sessions):
+        for key in self.session_keys:
             session = self.sessions[key]
             if session.transfer is not None:
-                self._abort(session)
+                self._release(session)
             i, j = key
             self.contact_events.append(
                 ContactEvent(
@@ -655,6 +711,7 @@ class Simulation:
             )
             self._record_contact_end(i, j, end_time - session.up_since)
         self.sessions.clear()
+        self.session_keys.clear()
         for node, mid in sorted(self.open_residency):
             self._close_residency(node, mid, end_time, "end")
 

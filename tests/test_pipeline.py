@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dtnlab.features import FEATURE_NAMES, ZScoreNormalizer, assemble_dataset
+from dtnlab import pipeline
 from dtnlab.ml import RandomForestClassifier, save_model
 from dtnlab.nodes import NodeId
 from dtnlab.pipeline import (
@@ -27,7 +28,7 @@ from dtnlab.pipeline import (
     tune_model,
     write_run,
 )
-from dtnlab.reports import DeliveryRecord, RelayEvent, ResidencyRecord
+from dtnlab.reports import ContactEvent, DeliveryRecord, RelayEvent, ResidencyRecord
 from dtnlab.scenario import ConfigurationError, desk_scenario, scenario_ini
 from dtnlab.simcore import run_simulation
 
@@ -279,6 +280,28 @@ class TestSweep:
         assert protocols == ["SprayAndWait", "RandomRouter"]
         rebuilt = summarize_cells(cells, scenarios, config.regimes, protocols)
         assert rebuilt == result.aggregates
+
+    def test_contact_divergence_across_protocols_aborts(self, tmp_path, monkeypatch):
+        real = pipeline.run_simulation
+
+        def shifted_for_random(spec, protocol, seed, **kwargs):
+            output = real(spec, protocol, seed, **kwargs)
+            if protocol == "RandomRouter":
+                first = output.contact_events[0]
+                output.contact_events[0] = ContactEvent(
+                    round(first.time + 0.1, 2), first.a, first.b, first.up
+                )
+            return output
+
+        monkeypatch.setattr(pipeline, "run_simulation", shifted_for_random)
+        config = SweepConfig(
+            scenarios=(desk_scenario(6, 6, duration_s=300.0),),
+            regimes=("weekday",),
+            protocols=("SprayAndWait", "RandomRouter"),
+            seeds=(1,),
+        )
+        with pytest.raises(RuntimeError, match="contact log diverged .*P6_C6/weekday/seed1"):
+            run_sweep(config, tmp_path / "out")
 
     def test_ml_protocol_requires_a_model_up_front(self, tmp_path):
         config = SweepConfig(

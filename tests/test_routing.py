@@ -366,6 +366,16 @@ class TestDecisionCache:
         cache.put(P1, query(degree=1.0), 0.0, 1, 0.9)
         assert len(cache) == 2
 
+    def test_put_drops_expired_entries(self):
+        cache = DecisionCache(ttl_s=10.0)
+        cache.put(C0, query(degree=1.0), 0.0, 1, 0.9)
+        cache.put(P1, query(degree=1.0), 5.0, 1, 0.9)
+        cache.put(C0, query(degree=2.0), 10.5, 0, 0.1)  # C0@0 is past its ttl
+        assert len(cache) == 2
+        assert cache.get(P1, query(degree=1.0), 15.0) == (1, 0.9)
+        cache.put(C0, query(degree=3.0), 15.0, 0, 0.1)  # pruned 4.5 s ago: kept
+        assert len(cache) == 3
+
 
 # ------------------------------------------------------------ online features
 

@@ -16,7 +16,9 @@ from dtnlab.features import ZScoreNormalizer
 from dtnlab.ml.mlp import MlpClassifier
 from dtnlab.ml.model_io import LoadedModel, load_model, save_model
 from dtnlab.routing import FEATURE_NAMES, PredictorUnavailableError
+from dtnlab import serve
 from dtnlab.serve import (
+    MAX_BODY_BYTES,
     HttpPredictor,
     InProcessPredictor,
     evaluate,
@@ -138,6 +140,57 @@ class TestEndpoints:
         after = requests.get(f"{server.endpoint}/health", timeout=2).json()
         assert after["predictions"] == before["predictions"] + 5
         assert 0.0 < after["mean_inference_ms"] < 50.0
+
+
+def raw_exchange(server, request: bytes, wait_s: float = 2.0) -> bytes:
+    """Send raw bytes and read until the server closes or wait_s passes."""
+    host, port = server.server_address[:2]
+    received = b""
+    with socket.create_connection((host, port), timeout=wait_s) as conn:
+        conn.sendall(request)
+        try:
+            while chunk := conn.recv(4096):
+                received += chunk
+        except TimeoutError:
+            pass  # a kept-alive connection stays open
+    return received
+
+
+def predict_head(length: str) -> bytes:
+    return (
+        "POST /predict HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    ).encode()
+
+
+class TestBodyLimits:
+    def test_negative_content_length_is_400_at_once(self, server):
+        started = time.monotonic()
+        reply = raw_exchange(server, predict_head("-1"))
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"negative Content-Length" in reply
+        assert time.monotonic() - started < 2.0
+
+    def test_oversized_content_length_is_413_at_once(self, server):
+        started = time.monotonic()
+        reply = raw_exchange(server, predict_head(str(MAX_BODY_BYTES + 1)))
+        assert reply.startswith(b"HTTP/1.1 413")
+        assert time.monotonic() - started < 2.0
+
+    def test_largest_allowed_body_is_read(self, server):
+        body = json.dumps(sample_features()).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        reply = raw_exchange(server, predict_head(str(len(body))) + body, wait_s=0.5)
+        assert reply.startswith(b"HTTP/1.1 200")
+
+    def test_stalled_body_is_dropped_after_the_handler_timeout(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(serve._Handler, "timeout", 0.3)
+        started = time.monotonic()
+        reply = raw_exchange(server, predict_head("50") + b'{"con')
+        assert reply == b""  # closed without a reply, well before wait_s
+        assert time.monotonic() - started < 1.5
 
 
 class TestBackendEquivalence:

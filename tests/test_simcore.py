@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -11,14 +12,15 @@ import pytest
 
 from dtnlab.mobility import MapGraph, save_map
 from dtnlab.nodes import NodeClass, NodeId
+from dtnlab.pipeline import LOG_FILES, write_run
 from dtnlab.reports import (
     contact_log_lines,
     delivered_log_lines,
     relay_log_lines,
     residency_log_lines,
 )
-from dtnlab.routing import PredictorUnavailableError
-from dtnlab.scenario import MapSpec, ScenarioSpec, desk_scenario
+from dtnlab.routing import DecisionCache, MlGatedRouter, PredictorUnavailableError
+from dtnlab.scenario import MapSpec, ScenarioSpec, desk_scenario, with_regime
 from dtnlab.simcore import (
     Message,
     NodeBuffer,
@@ -147,6 +149,64 @@ class TestLinkTransitions:
         in_range, ups, downs = link_transitions(pos, 900.0, prev)
         assert ups == [(0, 1)]
         assert downs == []
+
+    def test_full_grid_population_matches_brute_force(self):
+        # 173 nodes as in P90_C80: 170 walkers on the 8x8 desk map's extent,
+        # then three stationary nodes, two of them in range of each other
+        rng = random.Random(7)
+        n, r2 = 173, 30.0 * 30.0
+        pos = np.array([[rng.uniform(0, 700), rng.uniform(0, 700)] for _ in range(n)])
+        pos[170] = (350.0, 350.0)
+        pos[171] = (360.0, 355.0)
+        pos[172] = (0.0, 0.0)
+        # a walker parked exactly range_m from the third stationary node
+        pos[0] = (30.0, 0.0)
+        prev = np.zeros((n, n), dtype=bool)
+        state: dict[tuple[int, int], bool] = {}
+        saw_up = saw_down = 0
+        for tick in range(1, 41):
+            if tick > 1:
+                pos[1:170] += [
+                    [rng.uniform(-4, 4), rng.uniform(-4, 4)] for _ in range(169)
+                ]
+            in_range, ups, downs = link_transitions(pos, r2, prev)
+            expect_up, expect_down = [], []
+            for i in range(n):
+                xi, yi = float(pos[i][0]), float(pos[i][1])
+                for j in range(i + 1, n):
+                    dx, dy = xi - float(pos[j][0]), yi - float(pos[j][1])
+                    linked = dx * dx + dy * dy <= r2
+                    if linked != state.get((i, j), False):
+                        (expect_up if linked else expect_down).append((i, j))
+                        state[(i, j)] = linked
+            assert ups == expect_up
+            assert downs == expect_down
+            if tick == 1:
+                assert (170, 171) in ups  # stationary pair linked at tick 1
+                assert (0, 172) in ups  # dist2 == range2 exactly
+            assert in_range[170, 171] and in_range[171, 170]
+            assert in_range[0, 172] and in_range[172, 0]
+            assert not in_range.diagonal().any()
+            assert (in_range == in_range.T).all()
+            saw_up += len(ups)
+            saw_down += len(downs)
+            prev = in_range
+        assert saw_up > 200 and saw_down > 50
+
+        # a tick where nothing moved changes nothing and returns prev itself
+        snapshot = prev.copy()
+        in_range, ups, downs = link_transitions(pos, r2, prev)
+        assert (ups, downs) == ([], [])
+        assert in_range is prev
+        assert (prev == snapshot).all()
+
+    def test_prev_matrix_is_not_modified(self):
+        pos = np.array([[0.0, 0.0], [10.0, 0.0], [100.0, 0.0]])
+        prev = np.zeros((3, 3), dtype=bool)
+        in_range, ups, _ = link_transitions(pos, 900.0, prev)
+        assert ups == [(0, 1)]
+        assert not prev.any()
+        assert in_range is not prev
 
 
 # -------------------------------------------------------------- node buffer
@@ -450,6 +510,94 @@ class TestDeterminism:
             assert d.path[0] == A0
             assert str(d.to_host) in dest_names
             assert d.remaining_ttl == math.floor((desk_spec.ttl_s - d.delivery_time) / 60.0)
+
+
+# --------------------------------------------------------------- golden logs
+
+URBAN = dict(
+    map=MapSpec(kind="grid", rows=12, cols=12, spacing_m=100.0),
+    hotspots=(65, 66, 77, 78, 104),
+    accident_vertex=53,
+    hospital_vertices=(39, 102),
+    pedestrian_speed_ms=(0.15, 0.45),
+    pedestrian_pause_s=(60.0, 300.0),
+    ttl_s=1200.0,
+    copies=12,
+    bandwidth_bps=20_000_000.0,
+    size_bytes=(100_000, 200_000),
+)
+
+# sha256 of each log file, captured from the dense N x N engine that the
+# pair-indexed link detection and the sorted session keys replaced
+GOLDEN_LOGS = {
+    "desk_P90_C80_epidemic": {
+        "connectivity.txt": "ef48dd4c949a15aa49218d33ee43672b76830cecf5e694d212de774187f278db",
+        "delivered.txt": "59590049b772d70bd8e354a26c1d8edf387be4ac155e2730e482610fdd1d0d2e",
+        "relay.txt": "1e0897f2cf3967242d98850d5380a0b57fd20d31705ffd9963b83575c7c99390",
+        "buffer.txt": "457442d3684a781997b0b68a1d6f589e44790114439f4e9e5de58e6214a34aed",
+    },
+    "urban_P12_C12_spray": {
+        "connectivity.txt": "29624d748ce2ef78b2500b7ddc2302d3ac2fdac17493eee79eac3ea1daca212f",
+        "delivered.txt": "1f797baf2a15f825e70aa2b5ec552cef387b365e9c2dcf83c9d321fc808bf9db",
+        "relay.txt": "e1f6be513bc43beaacb0ce9327dbb05098d58e531e0bac24d4a7ec98bba6429a",
+        "buffer.txt": "e471d439f116c99b5d25c333a739af744ffae4effbf41d11565a79d49c5598e9",
+    },
+}
+
+
+def golden_case(name: str) -> tuple[ScenarioSpec, str]:
+    if name == "desk_P90_C80_epidemic":
+        return desk_scenario(90, 80, duration_s=60.0), "Epidemic"
+    urban = replace(desk_scenario(12, 12, duration_s=600.0), **URBAN)
+    return with_regime(urban, "weekday"), "SprayAndWait"
+
+
+class TestGoldenLogs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
+    def test_log_files_are_byte_identical(self, tmp_path, name):
+        spec, router = golden_case(name)
+        write_run(tmp_path, run_simulation(spec, router, seed=5), spec)
+        digests = {
+            fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+            for fname in LOG_FILES.values()
+        }
+        assert digests == GOLDEN_LOGS[name]
+
+
+# ------------------------------------------------------------ decision cache
+
+
+class TestDecisionCacheInARun:
+    def test_long_run_stays_bounded_with_unchanged_decisions(self):
+        class NeverPrunes(DecisionCache):
+            def put(self, peer, query, now, label, prob):
+                self._entries[self._key(peer, query)] = (now, label, prob)
+
+        class ByDegree:
+            def decide(self, features):
+                return int(features["degree"] >= 3.0), features["degree"] / 40.0
+
+        spec = replace(desk_scenario(12, 12, duration_s=2400.0), **URBAN)
+        runs = {}
+        for cache in (DecisionCache(ttl_s=120.0), NeverPrunes(ttl_s=120.0)):
+            peak = 0
+            put = cache.put
+
+            def tracked_put(*args, put=put, cache=cache):
+                nonlocal peak
+                put(*args)
+                peak = max(peak, len(cache))
+
+            cache.put = tracked_put
+            out = run_simulation(spec, MlGatedRouter(ByDegree(), cache), seed=11)
+            runs[type(cache)] = (cache, peak, log_text(out))
+        pruned, pruned_peak, pruned_logs = runs[DecisionCache]
+        kept, kept_peak, kept_logs = runs[NeverPrunes]
+        assert (pruned.hits, pruned.misses) == (kept.hits, kept.misses)
+        assert pruned.hits > 20
+        assert pruned_logs == kept_logs
+        assert kept_peak > 100
+        assert pruned_peak < kept_peak / 3
 
 
 # ------------------------------------------------------------ traffic source
