@@ -12,7 +12,6 @@ from .features import load_dataset, save_dataset
 from .ml import save_model
 from .pipeline import (
     FULL_SCENARIO_GRID,
-    METRIC_ROWS,
     SweepConfig,
     dataset_from_runs,
     discover_cells,

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .nodes import MOBILE_CLASSES, NodeId
-from .routing import FEATURE_NAMES
+from .nodes import MOBILE_CLASSES
+from .routing import FEATURE_NAMES, NodeStats
 
 REVERSED_FEATURES = ("avg_hop_count", "avg_delivery_time")
 _REVERSED_IDX = tuple(FEATURE_NAMES.index(name) for name in REVERSED_FEATURES)
@@ -34,14 +34,13 @@ class NotFittedError(RuntimeError):
 def extract_features(nodes, contact_events, deliveries) -> list[dict]:
     """Per-node relay statistics for every mobile node, from the run logs.
 
-    Contact features count completed contacts only; the engine closes every
-    link it opens, the last ones at end of run.  The two delivery averages
-    stay None for nodes that never relayed a delivered message.
+    The logs are replayed into the same NodeStats counters the engine keeps
+    online.  Contact features count completed contacts only; the engine
+    closes every link it opens, the last ones at end of run.  The two
+    delivery averages stay None for nodes that never relayed a delivered
+    message.
     """
-    names = [str(n) for n in nodes]
-    contacts = dict.fromkeys(names, 0)
-    duration_sum = dict.fromkeys(names, 0.0)
-    partners: dict[str, set[str]] = {n: set() for n in names}
+    stats = {str(n): NodeStats() for n in nodes}
     open_at: dict[tuple[str, str], float] = {}
     for ev in contact_events:
         key = tuple(sorted((str(ev.a), str(ev.b))))
@@ -53,40 +52,34 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
             if key not in open_at:
                 raise ValueError(f"link {key[0]}-{key[1]} dropped while down")
             length = ev.time - open_at.pop(key)
-            for me, other in (key, key[::-1]):
-                contacts[me] += 1
-                partners[me].add(other)
-                duration_sum[me] += length
+            stats[key[0]].record_contact(key[1], length)
+            stats[key[1]].record_contact(key[0], length)
     if open_at:
         raise ValueError(f"{len(open_at)} contact(s) never closed")
 
-    relayed = dict.fromkeys(names, 0)
-    hop_sum = dict.fromkeys(names, 0.0)
-    delay_sum = dict.fromkeys(names, 0.0)
-    as_dest = dict.fromkeys(names, 0)
     for rec in deliveries:
         for hop in rec.path[1:-1]:
-            relayed[str(hop)] += 1
-            hop_sum[str(hop)] += rec.hopcount
-            delay_sum[str(hop)] += rec.delivery_time
-        as_dest[str(rec.to_host)] += 1
+            stats[str(hop)].record_relayed_delivery(rec.hopcount, rec.delivery_time)
+        stats[str(rec.to_host)].as_dest += 1
 
     rows = []
     for node in nodes:
         if node.node_class not in MOBILE_CLASSES:
             continue
-        name = str(node)
-        met = contacts[name]
+        own = stats[str(node)]
+        snap = own.snapshot()
         rows.append(
             {
-                "node": name,
-                "contact_freq": float(met),
-                "degree": float(len(partners[name])),
-                "avg_contact_duration": duration_sum[name] / met if met else 0.0,
-                "avg_hop_count": hop_sum[name] / relayed[name] if relayed[name] else None,
-                "avg_delivery_time": delay_sum[name] / relayed[name] if relayed[name] else None,
-                "as_relay_count": float(relayed[name]),
-                "as_destination_count": float(as_dest[name]),
+                "node": str(node),
+                "contact_freq": float(own.contacts),
+                "degree": float(snap.degree),
+                "avg_contact_duration": (
+                    own.contact_seconds / own.contacts if own.contacts else 0.0
+                ),
+                "avg_hop_count": snap.h_avg,
+                "avg_delivery_time": snap.t_delay,
+                "as_relay_count": float(snap.relayed),
+                "as_destination_count": float(snap.as_dest),
             }
         )
     return rows
@@ -142,9 +135,6 @@ class MinMaxNormalizer:
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {}
-
 
 class ZScoreNormalizer:
     """Center and scale each column by its population statistics.
@@ -168,9 +158,6 @@ class ZScoreNormalizer:
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {}
 
 
 # ------------------------------------------------------------------- labeling

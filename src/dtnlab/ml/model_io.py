@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +21,6 @@ from ..features import REVERSED_FEATURES, ZScoreNormalizer
 from ..routing import FEATURE_NAMES
 from .forest import RandomForestClassifier
 from .mlp import MlpClassifier
-
-MODEL_KINDS = ("mlp", "rf")
 
 
 def _payload(model, scaler: ZScoreNormalizer, medians, extras: dict) -> dict:
@@ -123,7 +122,11 @@ def load_model(path: str | Path) -> LoadedModel:
     scaler = ZScoreNormalizer()
     scaler.means_ = np.array(document["zscore"]["means"], dtype=float)
     scaler.sigmas_ = np.array(document["zscore"]["sigmas"], dtype=float)
-    medians = tuple(document["medians"][name] for name in REVERSED_FEATURES)
+    medians = tuple(float(document["medians"][name]) for name in REVERSED_FEATURES)
+    for name, value in zip(REVERSED_FEATURES, medians):
+        # the router feeds these to the classifier unchecked
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{path}: median of {name} must be finite and non-negative")
     return LoadedModel(
         kind=kind,
         version=document["model_version"],

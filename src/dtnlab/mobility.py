@@ -60,18 +60,20 @@ class MapGraph:
         (ax, ay), (bx, by) = self.coords[a], self.coords[b]
         return math.hypot(bx - ax, by - ay)
 
-    def is_connected(self) -> bool:
-        if not self.coords:
-            return False
-        seen = {0}
-        stack = [0]
+    def component_of(self, start: int) -> set[int]:
+        """Every vertex reachable from start."""
+        seen = {start}
+        stack = [start]
         while stack:
             v = stack.pop()
             for w, _ in self.adjacency[v]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == self.vertex_count
+        return seen
+
+    def is_connected(self) -> bool:
+        return bool(self.coords) and len(self.component_of(0)) == self.vertex_count
 
 
 def grid_map(rows: int, cols: int, spacing: float) -> MapGraph:
@@ -109,7 +111,7 @@ def random_planar_map(
             edge_set.add((min(v, w), max(v, w)))
     graph = MapGraph(coords, sorted(edge_set))
     while not graph.is_connected():
-        comp = _component_of(graph, 0)
+        comp = graph.component_of(0)
         best = None
         for v in sorted(comp):
             for w in range(n_vertices):
@@ -122,18 +124,6 @@ def random_planar_map(
         edge_set.add((min(best[1], best[2]), max(best[1], best[2])))
         graph = MapGraph(coords, sorted(edge_set))
     return graph
-
-
-def _component_of(graph: MapGraph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w, _ in graph.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 # ------------------------------------------------------------------ map files

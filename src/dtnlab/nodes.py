@@ -23,8 +23,6 @@ _NAME_RE = re.compile(r"^([pcah])(\d+)$")
 
 # movable classes; accident and hospital nodes sit at fixed map vertices
 MOBILE_CLASSES = (NodeClass.PEDESTRIAN, NodeClass.CAR)
-# classes that only source or sink traffic, never relay foreign messages
-STATIONARY_CLASSES = (NodeClass.ACCIDENT, NodeClass.HOSPITAL)
 
 
 @dataclass(frozen=True)

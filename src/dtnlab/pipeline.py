@@ -123,10 +123,9 @@ def metrics_from_logs(
     )
 
 
-def compute_metrics(output: SimOutput, generated_count: int | None = None) -> RunMetrics:
-    created = output.generated if generated_count is None else generated_count
+def compute_metrics(output: SimOutput) -> RunMetrics:
     return metrics_from_logs(
-        output.deliveries, output.relays, output.residencies, created
+        output.deliveries, output.relays, output.residencies, output.generated
     )
 
 

@@ -54,10 +54,6 @@ class ContactEvent:
         if self.a == self.b:
             raise ValueError("contact endpoints must differ")
 
-    @property
-    def pair(self) -> frozenset[NodeId]:
-        return frozenset((self.a, self.b))
-
 
 @dataclass(frozen=True)
 class DeliveryRecord:
@@ -124,15 +120,6 @@ def parse_contact_lines(lines: Iterable[str]) -> list[ContactEvent]:
     return events
 
 
-def write_contact_log(events: Iterable[ContactEvent], path: str | Path) -> None:
-    Path(path).write_text("".join(line + "\n" for line in contact_log_lines(events)))
-
-
-def read_contact_log(path: str | Path) -> list[ContactEvent]:
-    with open(path) as fh:
-        return parse_contact_lines(fh)
-
-
 # ------------------------------------------------------------------- delivered
 
 
@@ -191,15 +178,6 @@ def parse_delivered_lines(lines: Iterable[str]) -> list[DeliveryRecord]:
     if not saw_header:
         raise ParseError(1, "", "empty delivered report")
     return records
-
-
-def write_delivered_log(records: Sequence[DeliveryRecord], path: str | Path) -> None:
-    Path(path).write_text("".join(line + "\n" for line in delivered_log_lines(records)))
-
-
-def read_delivered_log(path: str | Path) -> list[DeliveryRecord]:
-    with open(path) as fh:
-        return parse_delivered_lines(fh)
 
 
 # ------------------------------------------------- auxiliary relay/buffer logs

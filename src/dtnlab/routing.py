@@ -24,19 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Hashable, NamedTuple, Protocol
 
 from .nodes import NodeId
-
-FEATURE_NAMES = (
-    "contact_freq",
-    "degree",
-    "avg_contact_duration",
-    "avg_hop_count",
-    "avg_delivery_time",
-    "as_relay_count",
-    "as_destination_count",
-)
 
 DELIVER = "deliver"
 SPLIT = "split"
@@ -47,9 +37,11 @@ class PredictorUnavailableError(RuntimeError):
     """The relay-quality predictor could not be reached in time."""
 
 
-@dataclass(frozen=True)
-class RelayQuery:
-    """The seven per-node features, computed online for an encountered peer."""
+class RelayQuery(NamedTuple):
+    """The seven per-node features, computed online for an encountered peer.
+
+    The field order is the canonical feature order of datasets and models.
+    """
 
     contact_freq: float
     degree: float
@@ -60,10 +52,13 @@ class RelayQuery:
     as_destination_count: float
 
     def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in FEATURE_NAMES}
+        return self._asdict()
 
     def quantized(self, decimals: int = 3) -> tuple[float, ...]:
-        return tuple(round(float(getattr(self, n)), decimals) for n in FEATURE_NAMES)
+        return tuple(round(value, decimals) for value in self)
+
+
+FEATURE_NAMES = RelayQuery._fields
 
 
 class Predictor(Protocol):
@@ -84,10 +79,14 @@ class PeerSnapshot:
 
 @dataclass
 class NodeStats:
-    """Counters a node maintains about itself while the run progresses."""
+    """Counters a node maintains about itself while the run progresses.
+
+    The engine keeps them live, with partners by node index; extract_features
+    rebuilds them from the logs, with partners by node name.
+    """
 
     contacts: int = 0
-    partners: set[int] = field(default_factory=set)
+    partners: set[Hashable] = field(default_factory=set)
     contact_seconds: float = 0.0
     relayed_delivered: int = 0
     hop_sum: float = 0.0
@@ -98,7 +97,7 @@ class NodeStats:
     def degree(self) -> int:
         return len(self.partners)
 
-    def record_contact(self, partner: int, duration: float) -> None:
+    def record_contact(self, partner: Hashable, duration: float) -> None:
         self.contacts += 1
         self.partners.add(partner)
         self.contact_seconds += duration

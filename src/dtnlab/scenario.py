@@ -185,9 +185,13 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def _from_parser(parser: configparser.ConfigParser) -> ScenarioSpec:
+    """The spec the file describes; every section and key it holds must be
+    one that is read here, so a typo fails instead of leaving a default."""
     defaults = ScenarioSpec()
+    known: set[tuple[str, str]] = set()
 
     def get(section: str, option: str, cast, fallback):
+        known.add((section, option))
         if parser.has_option(section, option):
             return cast(parser.get(section, option))
         return fallback
@@ -202,7 +206,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioSpec:
         seed=get("map", "seed", int, defaults.map.seed),
         path=get("map", "path", str, defaults.map.path),
     )
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name=get("scenario", "name", str, defaults.name),
         duration_s=get("scenario", "duration_s", float, defaults.duration_s),
         tick_s=get("scenario", "tick_s", float, defaults.tick_s),
@@ -240,6 +244,20 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioSpec:
             "traffic", "destinations", lambda r: tuple(p.strip() for p in r.split(",")), ()
         ),
     )
+    sections = {section for section, _ in known}
+    unknown = []
+    for section in parser.sections():
+        if section not in sections:
+            unknown.append(f"section [{section}]")
+            continue
+        unknown += [
+            f"key {section}.{option}"
+            for option in parser.options(section)
+            if (section, option) not in known
+        ]
+    if unknown:
+        raise ConfigurationError("unknown " + ", ".join(unknown))
+    return spec
 
 
 def scenario_ini(spec: ScenarioSpec) -> str:

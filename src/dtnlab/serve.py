@@ -5,11 +5,13 @@ The service exposes two endpoints:
     POST /predict   seven named features in, {label, probability, model_version} out
     GET  /health    liveness plus model_version and inference timing counters
 
-Both the HTTP handler and ``InProcessPredictor`` score requests through the
-same ``evaluate`` function, so the two backends return bit-identical answers
-for the same model and input.  ``HttpPredictor`` is the client side; it maps
-timeouts and connection failures to ``PredictorUnavailableError`` so the
-router can fall back to plain spray.
+Both backends score through ``LoadedModel.decide``, so they return
+bit-identical answers for the same model and input.  Only request bodies,
+which come from outside the program, are validated (``evaluate``); the
+in-process backend gets the engine's own values, whose one outside part,
+the model's medians, ``load_model`` checks.  ``HttpPredictor`` is the
+client side; it maps timeouts and connection failures to
+``PredictorUnavailableError`` so the router can fall back to plain spray.
 """
 
 from __future__ import annotations
@@ -38,17 +40,20 @@ def evaluate(model: LoadedModel, body: dict) -> dict:
     """Validate one request body and score it.
 
     Raises KeyError naming the first missing feature (in canonical order)
-    and ValueError for non-numeric, non-finite, or negative values.  Extra
-    fields are ignored.
+    and ValueError for values that are not JSON numbers (strings and
+    booleans included), non-finite, or negative.  Extra fields are ignored.
     """
     features: dict[str, float] = {}
     for name in model.feature_names:
         if name not in body:
             raise KeyError(name)
+        value = body[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"field {name} is not a number")
         try:
-            value = float(body[name])
-        except (TypeError, ValueError):
-            raise ValueError(f"field {name} is not a number") from None
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"field {name} must be finite") from None
         if not math.isfinite(value):
             raise ValueError(f"field {name} must be finite")
         if value < 0:
@@ -208,11 +213,7 @@ class InProcessPredictor:
     model: LoadedModel
 
     def decide(self, features: dict[str, float]) -> tuple[int, float]:
-        payload = evaluate(self.model, features)
-        return payload["label"], payload["probability"]
-
-    def predict(self, features: dict[str, float]) -> dict:
-        return evaluate(self.model, features)
+        return self.model.decide(features)
 
 
 @dataclass

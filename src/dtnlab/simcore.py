@@ -41,11 +41,9 @@ from .mobility import FixedPost, Wanderer
 from .nodes import MOBILE_CLASSES, NodeClass, NodeId
 from .reports import ContactEvent, DeliveryRecord, RelayEvent, ResidencyRecord
 from .routing import (
-    COPY,
     DELIVER,
     SPLIT,
     Action,
-    DecisionCache,
     Encounter,
     EpidemicRouter,
     MlGatedRouter,
@@ -738,7 +736,6 @@ def build_router(
     kind: str,
     seed: int,
     predictor: Predictor | None = None,
-    cache: DecisionCache | None = None,
 ) -> Router:
     if kind == "SprayAndWait":
         return SprayAndWaitRouter()
@@ -749,7 +746,7 @@ def build_router(
     if kind == "MLPBasedRouter":
         if predictor is None:
             raise ValueError("MLPBasedRouter needs a predictor")
-        return MlGatedRouter(predictor, cache)
+        return MlGatedRouter(predictor)
     raise ValueError(f"unknown router kind {kind!r}")
 
 

@@ -1,0 +1,59 @@
+"""The package names the benchmark under bench/ relies on.
+
+The benchmark imports the package and wraps its functions from outside
+(bench/tracer.py patches each one through its owner's own ``__dict__``), so
+renaming, deleting or moving one of them to a base class breaks the
+benchmark without breaking any other test.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import loop
+        import tracer
+
+        yield loop, tracer
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_tracer_wraps_every_layer_and_restores_it(bench_modules):
+    _, tracer = bench_modules
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        patched = list(t._undo)
+        assert patched
+        for owner, attr, original in patched:
+            assert owner.__dict__[attr] is not original
+    finally:
+        t.uninstall()
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original
+
+
+def test_loop_uses_only_names_the_package_has(bench_modules):
+    loop, _ = bench_modules
+    tree = ast.parse((BENCH / "loop.py").read_text())
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("pipeline", "routing", "simcore")
+    }
+    assert used
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(used) if not hasattr(getattr(loop, mod), attr)]
+    assert not missing

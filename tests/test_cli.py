@@ -10,7 +10,13 @@ import pytest
 
 import dtnlab.pipeline as pipeline
 from dtnlab.cli import main
-from dtnlab.scenario import desk_scenario, save_scenario
+from dtnlab.scenario import (
+    ConfigurationError,
+    desk_scenario,
+    load_scenario,
+    save_scenario,
+    scenario_ini,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +141,21 @@ class TestSimulate:
         rc = main(["simulate", str(bad), "--out", str(tmp_path / "never")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_sections_and_keys_are_named(self, tmp_path, capsys):
+        text = scenario_ini(desk_scenario(8, 8, duration_s=900.0))
+        bad = tmp_path / "typo.ini"
+        bad.write_text(
+            text.replace("range_m =", "rang_m =").replace("[placement]", "[placment]")
+        )
+        with pytest.raises(ConfigurationError) as exc:
+            load_scenario(bad)
+        for name in ("typo.ini", "radio.rang_m", "[placment]"):
+            assert name in str(exc.value)
+        assert "accident_vertex" not in str(exc.value)  # a section is named once
+        rc = main(["simulate", str(bad), "--out", str(tmp_path / "never")])
+        assert rc == 2
+        assert "radio.rang_m" in capsys.readouterr().err
 
     def test_missing_config_exits_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "ghost.ini"), "--out", str(tmp_path / "n")])

@@ -24,9 +24,9 @@ from dtnlab.features import (
 )
 from dtnlab.nodes import NodeId
 from dtnlab.reports import ContactEvent, DeliveryRecord
-from dtnlab.routing import FEATURE_NAMES
+from dtnlab.routing import FEATURE_NAMES, SprayAndWaitRouter
 from dtnlab.scenario import desk_scenario
-from dtnlab.simcore import run_simulation
+from dtnlab.simcore import Simulation
 
 P0, P1, C0 = NodeId.parse("p0"), NodeId.parse("p1"), NodeId.parse("c0")
 A0, H0 = NodeId.parse("a0"), NodeId.parse("h0")
@@ -50,6 +50,14 @@ def delivery(mid, path, delivery_time, time=4000.0):
         is_response=False,
         path=tuple(path),
     )
+
+
+@pytest.fixture(scope="module")
+def desk_run():
+    """A finished desk P10_C10 SprayAndWait run and its engine."""
+    spec = desk_scenario(pedestrians=10, cars=10, duration_s=1800.0)
+    sim = Simulation(spec, SprayAndWaitRouter(), 3)
+    return sim, sim.run()
 
 
 class TestExtraction:
@@ -107,9 +115,8 @@ class TestExtraction:
         with pytest.raises(ValueError, match="never closed"):
             extract_features(NODES, [contact(1.0, P0, P1, True)], [])
 
-    def test_matches_independent_recount_on_a_real_run(self):
-        spec = desk_scenario(pedestrians=10, cars=10, duration_s=1800.0)
-        out = run_simulation(spec, "SprayAndWait", seed=3)
+    def test_matches_independent_recount_on_a_real_run(self, desk_run):
+        _, out = desk_run
         assert out.deliveries  # the oracle should see some relay traffic
         rows = extract_features(out.nodes, out.contact_events, out.deliveries)
         assert len(rows) == 20
@@ -148,6 +155,28 @@ class TestExtraction:
                 )
             else:
                 assert row["avg_hop_count"] is None
+
+    def test_offline_rows_agree_with_the_online_counters(self, desk_run):
+        sim, out = desk_run
+        rows = {
+            row["node"]: row
+            for row in extract_features(out.nodes, out.contact_events, out.deliveries)
+        }
+        assert len(rows) == 20
+        for node, own in zip(sim.nodes, sim.stats):
+            if str(node) not in rows:
+                continue
+            row, snap = rows[str(node)], own.snapshot()
+            assert row["contact_freq"] == own.contacts
+            assert row["degree"] == snap.degree
+            assert row["as_relay_count"] == snap.relayed
+            assert row["as_destination_count"] == snap.as_dest
+            # links that drop in one tick are added in index order online
+            # and in name order offline, and the log rounds their times
+            expect = own.contact_seconds / own.contacts if own.contacts else 0.0
+            assert row["avg_contact_duration"] == pytest.approx(expect)
+            assert row["avg_hop_count"] == pytest.approx(snap.h_avg)
+            assert row["avg_delivery_time"] == pytest.approx(snap.t_delay)
 
 
 class TestMinMaxNormalizer:

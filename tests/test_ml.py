@@ -315,6 +315,18 @@ class TestModelIo:
         with pytest.raises(ValueError, match="fit"):
             save_model(tmp_path / "m.json", RandomForestClassifier(), scaler, (0.0, 0.0))
 
+    @pytest.mark.parametrize("median", [float("nan"), float("inf"), -1.0])
+    def test_bad_medians_are_refused_naming_the_file(self, median, tmp_path):
+        X, y = blobs(n=60, seed=6)
+        model, scaler = self.fitted("mlp", X, y)
+        path = tmp_path / "m.json"
+        save_model(path, model, scaler, (0.0, 0.0))
+        doc = json.loads(path.read_text())
+        doc["medians"]["avg_delivery_time"] = median
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="m.json.*avg_delivery_time"):
+            load_model(path)
+
     def test_unknown_kind_is_refused(self, tmp_path):
         X, y = blobs(n=60, seed=6)
         model, scaler = self.fitted("rf", X, y)

@@ -87,6 +87,9 @@ class TestEndpoints:
             (-1.0, "non-negative"),
             ("fast", "not a number"),
             (None, "not a number"),
+            (True, "not a number"),
+            ("2.5", "not a number"),
+            (10**400, "finite"),
         ]:
             features = sample_features()
             features["contact_freq"] = breakage
