@@ -200,10 +200,6 @@ def shortest_path(graph: MapGraph, src: int, dst: int) -> list[int]:
     return path
 
 
-def path_length(graph: MapGraph, path: list[int]) -> float:
-    return sum(graph.edge_length(a, b) for a, b in zip(path, path[1:]))
-
-
 # ------------------------------------------------------------------ waypoints
 
 

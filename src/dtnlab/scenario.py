@@ -97,6 +97,8 @@ class ScenarioSpec:
         # contact log timestamps carry two decimals, so ticks must land on them
         if abs(self.tick_s * 100 - round(self.tick_s * 100)) > 1e-9:
             raise ConfigurationError("scenario.tick_s must be a multiple of 0.01")
+        if abs(round(self.duration_s / self.tick_s) * self.tick_s - self.duration_s) > 1e-6:
+            raise ConfigurationError("scenario.duration_s must be a whole number of ticks")
         if self.pedestrians < 0 or self.cars < 0:
             raise ConfigurationError("nodes: counts must be non-negative")
         if self.hospitals < 1:

@@ -5,16 +5,18 @@ splits into independent mobility, traffic, and router streams, so swapping
 the protocol never disturbs the contact process and runs of different
 protocols over the same seed stay comparable.
 
-Each tick advances time by the fixed mobility step and processes, in this
-order: transfer progress and completions, mobility, link down then up
-transitions, TTL expiry, traffic generation, routing decisions, transfer
-starts.  Link transitions come out of detection ordered by node-index pair
-(i < j, row major).  The engine keeps the keys of the open link sessions in
-one sorted list, updated by bisection on link up and down, and every phase
-walks sessions in key order and nodes by index; the transfer phases walk
-only the few sessions with a transfer in flight or a queue waiting, sorted
-out of two key sets.  That sorted-key list is what pins the event order and
-makes logs byte-identical across repeated runs.
+The contact process comes first: `contact_plan` walks the movers and
+records each tick's link transitions, ordered by node-index pair (i < j,
+row major).  It reads no engine state, so every protocol run over one
+(scenario, seed) can replay the same plan.  Each tick then advances time by
+the fixed mobility step and processes, in this order: transfer progress and
+completions, the plan's link down then up transitions, TTL expiry, traffic
+generation, routing decisions, transfer starts.  The engine keeps the keys
+of the open link sessions in one sorted list, updated by bisection on link
+up and down, and every phase walks sessions in key order and nodes by index;
+the transfer phases walk only the few sessions with a transfer in flight or
+a queue waiting, sorted out of two key sets.  That sorted-key list is what
+pins the event order and makes logs byte-identical across repeated runs.
 
 Radio model: nodes are linked while their distance is at most the radio
 range.  Transfers are half duplex, one per node at a time, at a fixed link
@@ -31,6 +33,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -56,7 +59,7 @@ from .routing import (
     SprayAndWaitRouter,
     online_features,
 )
-from .scenario import ConfigurationError, ScenarioSpec
+from .scenario import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -142,15 +145,15 @@ def link_transitions(
     rows, cols, flat = _upper_pairs(len(positions))
     x = positions[:, 0]
     y = positions[:, 1]
-    dist2 = np.take(x, rows)
-    dist2 -= np.take(x, cols)
+    dist2 = x.take(rows)
+    dist2 -= x.take(cols)
     dist2 *= dist2
-    dy = np.take(y, rows)
-    dy -= np.take(y, cols)
+    dy = y.take(rows)
+    dy -= y.take(cols)
     dy *= dy
     dist2 += dy
     linked = dist2 <= range2
-    changed = np.flatnonzero(linked != np.take(prev_in_range, flat))
+    changed = (linked != prev_in_range.take(flat)).nonzero()[0]
     if not len(changed):
         return prev_in_range, [], []
     ci, cj, up = rows[changed], cols[changed], linked[changed]
@@ -162,6 +165,62 @@ def link_transitions(
     for i, j, is_up in zip(ci.tolist(), cj.tolist(), up.tolist()):
         (ups if is_up else downs).append((i, j))
     return in_range, ups, downs
+
+
+@dataclass(frozen=True)
+class ContactPlan:
+    """The link transitions of one (scenario, seed), for any protocol to replay:
+    a tick number (1 is the first) maps to that tick's (downs, ups) node-index
+    pairs, and ticks without a transition are left out."""
+
+    spec: ScenarioSpec
+    seed: int
+    transitions: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
+
+
+def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
+    """Walk the movers from the seed's mobility stream tick by tick and
+    record every link transition."""
+    graph = spec.validate()
+    nodes = spec.roster()
+    rng = random.Random(f"{seed}:mobility")
+    hospital_vertices = iter(spec.hospital_vertices)
+    walks = {  # speed range in m/s and pause range per mobile class
+        NodeClass.PEDESTRIAN: (spec.pedestrian_speed_ms, spec.pedestrian_pause_s),
+        NodeClass.CAR: (tuple(v / 3.6 for v in spec.car_speed_kmh), spec.car_pause_s),
+    }
+    movers = []
+    for node in nodes:
+        if node.node_class in walks:
+            speed_range, pause_range = walks[node.node_class]
+            movers.append(
+                Wanderer(
+                    graph=graph,
+                    vertex=rng.randrange(graph.vertex_count),
+                    speed_range=speed_range,
+                    pause_range=pause_range,
+                    regime=spec.regime,
+                    hotspots=list(spec.hotspots),
+                    rng=rng,
+                    hotspot_bias=spec.hotspot_bias,
+                )
+            )
+        elif node.node_class is NodeClass.ACCIDENT:
+            movers.append(FixedPost(graph, spec.accident_vertex))
+        else:
+            movers.append(FixedPost(graph, next(hospital_vertices)))
+    in_range = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    range2 = spec.range_m * spec.range_m
+    transitions = {}
+    for k in range(1, round(spec.duration_s / spec.tick_s) + 1):
+        for mover in movers:
+            mover.advance(spec.tick_s)
+        coords = chain.from_iterable(mover.pos for mover in movers)
+        positions = np.fromiter(coords, float, 2 * len(movers)).reshape(-1, 2)
+        in_range, ups, downs = link_transitions(positions, range2, in_range)
+        if ups or downs:
+            transitions[k] = (downs, ups)
+    return ContactPlan(spec, seed, transitions)
 
 
 class NodeBuffer:
@@ -250,6 +309,7 @@ class SimOutput:
     eligible_encounters: int = 0
     fallbacks: int = 0
     audit: AuditTrail | None = None
+    plan: ContactPlan | None = None  # the contact plan the run replayed
 
 
 class Simulation:
@@ -260,60 +320,22 @@ class Simulation:
         seed: int,
         audit: bool = False,
         feature_medians: tuple[float, float] = (0.0, 0.0),
+        plan: ContactPlan | None = None,
     ) -> None:
         self.spec = spec
         self.router = router
         self.seed = seed
-        self.graph = spec.validate()
+        spec.validate()
+        if plan is not None and (plan.spec, plan.seed) != (spec, seed):
+            raise ValueError(f"contact plan of {plan.spec.name} seed {plan.seed} does not fit")
+        self.plan = plan  # built by run() when not given
         self.medians = feature_medians
         self.audit = AuditTrail() if audit else None
 
-        n_ticks = round(spec.duration_s / spec.tick_s)
-        if abs(n_ticks * spec.tick_s - spec.duration_s) > 1e-6:
-            raise ConfigurationError("scenario.duration_s must be a whole number of ticks")
-        self.n_ticks = n_ticks
-
+        self.n_ticks = round(spec.duration_s / spec.tick_s)
         self.nodes = spec.roster()
         self.index = {node: i for i, node in enumerate(self.nodes)}
         n = len(self.nodes)
-
-        mob_rng = random.Random(f"{seed}:mobility")
-        self.traffic_rng = random.Random(f"{seed}:traffic")
-        hospitals = [node for node in self.nodes if node.node_class is NodeClass.HOSPITAL]
-        hospital_vertex = dict(zip(hospitals, spec.hospital_vertices))
-        self.movers = []
-        for node in self.nodes:
-            if node.node_class is NodeClass.PEDESTRIAN:
-                self.movers.append(
-                    Wanderer(
-                        graph=self.graph,
-                        vertex=mob_rng.randrange(self.graph.vertex_count),
-                        speed_range=spec.pedestrian_speed_ms,
-                        pause_range=spec.pedestrian_pause_s,
-                        regime=spec.regime,
-                        hotspots=list(spec.hotspots),
-                        rng=mob_rng,
-                        hotspot_bias=spec.hotspot_bias,
-                    )
-                )
-            elif node.node_class is NodeClass.CAR:
-                lo, hi = spec.car_speed_kmh
-                self.movers.append(
-                    Wanderer(
-                        graph=self.graph,
-                        vertex=mob_rng.randrange(self.graph.vertex_count),
-                        speed_range=(lo / 3.6, hi / 3.6),
-                        pause_range=spec.car_pause_s,
-                        regime=spec.regime,
-                        hotspots=list(spec.hotspots),
-                        rng=mob_rng,
-                        hotspot_bias=spec.hotspot_bias,
-                    )
-                )
-            elif node.node_class is NodeClass.ACCIDENT:
-                self.movers.append(FixedPost(self.graph, spec.accident_vertex))
-            else:
-                self.movers.append(FixedPost(self.graph, hospital_vertex[node]))
 
         dest_nodes = [NodeId.parse(name) for name in spec.destination_names()]
         self.traffic = TrafficSource(
@@ -322,7 +344,7 @@ class Simulation:
             spec.ttl_s,
             NodeId(NodeClass.ACCIDENT, 0),
             dest_nodes,
-            self.traffic_rng,
+            random.Random(f"{seed}:traffic"),
         )
 
         self.buffers = [NodeBuffer(spec.buffer_bytes) for _ in range(n)]
@@ -336,13 +358,7 @@ class Simulation:
         # keys of the sessions with a transfer in flight / with a non-empty queue
         self._transferring: set[tuple[int, int]] = set()
         self._queued: set[tuple[int, int]] = set()
-        self.positions = np.zeros((n, 2))
-        for i, mover in enumerate(self.movers):
-            self.positions[i] = mover.pos
-        self.prev_in_range = np.zeros((n, n), dtype=bool)
         self.relay_eligible = [node.node_class in MOBILE_CLASSES for node in self.nodes]
-        self._mobile = np.flatnonzero(self.relay_eligible)
-        self._mobile_movers = [self.movers[i] for i in self._mobile]
 
         self.holders: dict[str, set[int]] = {}
         self.open_residency: dict[tuple[int, str], float] = {}
@@ -355,15 +371,16 @@ class Simulation:
         self.residencies: list[ResidencyRecord] = []
         self.messages: list[Message] = []
         self._new_message_nodes: set[int] = set()
-        self._range2 = spec.range_m * spec.range_m
         self._bytes_per_tick = spec.bandwidth_bps * spec.tick_s / 8.0
 
     # ------------------------------------------------------------------ run
 
     def run(self) -> SimOutput:
+        if self.plan is None:
+            self.plan = contact_plan(self.spec, self.seed)
         for k in range(1, self.n_ticks + 1):
             now = round(k * self.spec.tick_s, 4)
-            self._tick(now)
+            self._tick(now, *self.plan.transitions.get(k, ((), ())))
         self._finish(round(self.spec.duration_s, 4))
         return SimOutput(
             scenario=self.spec.name,
@@ -381,20 +398,12 @@ class Simulation:
             eligible_encounters=getattr(self.router, "eligible_encounters", 0),
             fallbacks=getattr(self.router, "fallbacks", 0),
             audit=self.audit,
+            plan=self.plan,
         )
 
-    def _tick(self, now: float) -> None:
+    def _tick(self, now: float, downs: Sequence, ups: Sequence) -> None:
         self._new_message_nodes.clear()
         self._progress_transfers(now)
-        if self._mobile_movers:  # only mobile classes move
-            dt = self.spec.tick_s
-            for mover in self._mobile_movers:
-                mover.advance(dt)
-            coords = chain.from_iterable(mover.pos for mover in self._mobile_movers)
-            self.positions[self._mobile] = np.fromiter(
-                coords, float, 2 * len(self._mobile)
-            ).reshape(-1, 2)
-        ups, downs = self._link_transitions()
         for i, j in downs:
             self._link_down(i, j, now)
         for i, j in ups:
@@ -405,14 +414,7 @@ class Simulation:
         self._route(now, ups)
         self._start_transfers()
         if self.audit is not None:
-            self._audit_copies()
-
-    def _link_transitions(self) -> tuple[list, list]:
-        in_range, ups, downs = link_transitions(
-            self.positions, self._range2, self.prev_in_range
-        )
-        self.prev_in_range = in_range
-        return ups, downs
+            self._audit(now)
 
     def _link_up(self, i: int, j: int, now: float) -> None:
         self.sessions[(i, j)] = LinkSession(up_since=now)
@@ -523,7 +525,7 @@ class Simulation:
 
     # -------------------------------------------------------------- routing
 
-    def _route(self, now: float, ups: list[tuple[int, int]]) -> None:
+    def _route(self, now: float, ups: Sequence[tuple[int, int]]) -> None:
         triggers: list[tuple[int, int, int]] = []
         for i, j in ups:
             triggers.append((i, j, i))
@@ -713,20 +715,55 @@ class Simulation:
         for node, mid in sorted(self.open_residency):
             self._close_residency(node, mid, end_time, "end")
 
-    def _audit_copies(self) -> None:
+    def _audit(self, now: float) -> None:
+        """Check the copy budget, and re-derive the engine's indexes from the
+        buffers and the sessions to compare them with the ones it keeps."""
         assert self.audit is not None
+        violations = self.audit.violations
+        held: dict[str, set[int]] = {}
+        copies: dict[str, int] = {}
+        for node, buffer in enumerate(self.buffers):
+            size = 0
+            for mid, replica in buffer.entries.items():
+                size += replica.message.size
+                held.setdefault(mid, set()).add(node)
+                copies[mid] = copies.get(mid, 0) + replica.copies
+            if buffer.used != size or size > buffer.capacity:
+                violations.append(
+                    f"@{now} node {node}: buffer used {buffer.used}, replicas "
+                    f"{size} bytes, capacity {buffer.capacity}"
+                )
         budget = self.spec.copies
-        for mid in sorted(self.holders):
-            total = sum(
-                self.buffers[h].entries[mid].copies for h in self.holders[mid]
-            )
+        for mid in sorted(copies):
+            total = copies[mid]
             peak = self.audit.copy_peaks.get(mid, 0)
             if total > peak:
                 self.audit.copy_peaks[mid] = total
             if total > budget and not isinstance(self.router, EpidemicRouter):
-                self.audit.violations.append(
-                    f"{mid}: copy sum {total} exceeds budget {budget}"
-                )
+                violations.append(f"{mid}: copy sum {total} exceeds budget {budget}")
+        if held != self.holders:
+            violations.append(f"@{now}: holders disagree with the buffer contents")
+
+        sessions = self.sessions
+        if self.session_keys != sorted(sessions):
+            violations.append(f"@{now}: session keys disagree with the sessions")
+        transferring = {key for key, s in sessions.items() if s.transfer is not None}
+        if transferring != self._transferring:
+            violations.append(f"@{now}: transferring keys disagree with the sessions")
+        if {key for key, s in sessions.items() if s.queue} != self._queued:
+            violations.append(f"@{now}: queued keys disagree with the sessions")
+        expected: list[Transfer | None] = [None] * len(self.nodes)
+        for key in sorted(transferring):
+            transfer = sessions[key].transfer
+            if transfer.link != key:
+                violations.append(f"@{now} link {key}: carries a transfer of {transfer.link}")
+            for node in (transfer.sender, transfer.receiver):
+                if expected[node] is not None:
+                    violations.append(f"@{now} node {node}: in two transfers")
+                expected[node] = transfer
+        for node, (want, got) in enumerate(zip(expected, self.in_flight)):
+            if want is not got:
+                violations.append(f"@{now} node {node}: in_flight disagrees with the sessions")
 
 
 # ------------------------------------------------------------------- helpers
@@ -757,9 +794,10 @@ def run_simulation(
     predictor: Predictor | None = None,
     feature_medians: tuple[float, float] = (0.0, 0.0),
     audit: bool = False,
+    plan: ContactPlan | None = None,
 ) -> SimOutput:
     if isinstance(router, str):
         router = build_router(router, seed, predictor)
     return Simulation(
-        spec, router, seed, audit=audit, feature_medians=feature_medians
+        spec, router, seed, audit=audit, feature_medians=feature_medians, plan=plan
     ).run()

@@ -18,7 +18,6 @@ from dtnlab.mobility import (
     grid_map,
     load_map,
     next_waypoint,
-    path_length,
     random_planar_map,
     save_map,
     shortest_path,
@@ -121,7 +120,8 @@ def test_shortest_path_matches_exhaustive_enumeration() -> None:
         # each consecutive pair must be an edge
         for a, b in zip(path, path[1:]):
             assert any(w == b for w, _ in g.adjacency[a])
-        assert path_length(g, path) == pytest.approx(best, abs=1e-12)
+        length = sum(g.edge_length(a, b) for a, b in zip(path, path[1:]))
+        assert length == pytest.approx(best, abs=1e-12)
 
 
 def test_shortest_path_trivial_and_unreachable() -> None:

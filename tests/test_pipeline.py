@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dtnlab.features import FEATURE_NAMES, ZScoreNormalizer, assemble_dataset
-from dtnlab import pipeline
+from dtnlab import pipeline, simcore
 from dtnlab.ml import RandomForestClassifier, save_model
 from dtnlab.nodes import NodeId
 from dtnlab.pipeline import (
@@ -28,9 +28,10 @@ from dtnlab.pipeline import (
     tune_model,
     write_run,
 )
-from dtnlab.reports import ContactEvent, DeliveryRecord, RelayEvent, ResidencyRecord
+from dtnlab.reports import DeliveryRecord, RelayEvent, ResidencyRecord
+from dtnlab.routing import SprayAndWaitRouter
 from dtnlab.scenario import ConfigurationError, desk_scenario, scenario_ini
-from dtnlab.simcore import run_simulation
+from dtnlab.simcore import Simulation, run_simulation
 
 
 def mk_delivery(msg_id: str, time: float = 100.0, delay: float = 40.0) -> DeliveryRecord:
@@ -281,27 +282,29 @@ class TestSweep:
         rebuilt = summarize_cells(cells, scenarios, config.regimes, protocols)
         assert rebuilt == result.aggregates
 
-    def test_contact_divergence_across_protocols_aborts(self, tmp_path, monkeypatch):
-        real = pipeline.run_simulation
+    def test_each_cell_builds_one_contact_plan(self, tmp_path, monkeypatch):
+        built = []
+        real = simcore.contact_plan
 
-        def shifted_for_random(spec, protocol, seed, **kwargs):
-            output = real(spec, protocol, seed, **kwargs)
-            if protocol == "RandomRouter":
-                first = output.contact_events[0]
-                output.contact_events[0] = ContactEvent(
-                    round(first.time + 0.1, 2), first.a, first.b, first.up
-                )
-            return output
+        def counted(spec, seed):
+            built.append((spec.name, spec.regime, seed))
+            return real(spec, seed)
 
-        monkeypatch.setattr(pipeline, "run_simulation", shifted_for_random)
+        monkeypatch.setattr(simcore, "contact_plan", counted)
+        spec = desk_scenario(6, 6, duration_s=300.0)
+        Simulation(spec, SprayAndWaitRouter(), 1)
+        assert built == []
         config = SweepConfig(
-            scenarios=(desk_scenario(6, 6, duration_s=300.0),),
-            regimes=("weekday",),
+            scenarios=(spec,),
+            regimes=("weekday", "holiday"),
             protocols=("SprayAndWait", "RandomRouter"),
-            seeds=(1,),
+            seeds=(1, 2),
         )
-        with pytest.raises(RuntimeError, match="contact log diverged .*P6_C6/weekday/seed1"):
-            run_sweep(config, tmp_path / "out")
+        result = run_sweep(config, tmp_path / "out")
+        assert len(result.cells) == 8
+        assert built == [
+            ("P6_C6", regime, seed) for regime in ("weekday", "holiday") for seed in (1, 2)
+        ]
 
     def test_ml_protocol_requires_a_model_up_front(self, tmp_path):
         config = SweepConfig(

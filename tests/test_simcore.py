@@ -19,13 +19,22 @@ from dtnlab.reports import (
     relay_log_lines,
     residency_log_lines,
 )
-from dtnlab.routing import DecisionCache, MlGatedRouter, PredictorUnavailableError
+from dtnlab.routing import (
+    SPLIT,
+    DecisionCache,
+    MlGatedRouter,
+    PredictorUnavailableError,
+    SprayAndWaitRouter,
+)
 from dtnlab.scenario import MapSpec, ScenarioSpec, desk_scenario, with_regime
 from dtnlab.simcore import (
     Message,
     NodeBuffer,
     Replica,
+    Simulation,
     TrafficSource,
+    Transfer,
+    contact_plan,
     link_transitions,
     run_simulation,
 )
@@ -445,6 +454,26 @@ class TestShuttle:
         assert out.audit.violations == []
         assert max(out.audit.copy_peaks.values(), default=0) <= 10
 
+    def test_audit_reports_bookkeeping_that_disagrees(self, tmp_path):
+        sim = Simulation(
+            shuttle_spec(tmp_path, pedestrians=2), SprayAndWaitRouter(), 4, audit=True
+        )
+        sim.run()
+        assert sim.audit.violations == []
+        sim.buffers[0].used += 1
+        sim.holders["AC999"] = {1}
+        sim._queued.add((0, 1))
+        sim.in_flight[2] = Transfer(2, 0, "AC0", SPLIT, 1.0)
+        sim._audit(999.0)
+        used = sim.buffers[0].used
+        assert sim.audit.violations == [
+            f"@999.0 node 0: buffer used {used}, replicas {used - 1} bytes, "
+            f"capacity {sim.buffers[0].capacity}",
+            "@999.0: holders disagree with the buffer contents",
+            "@999.0: queued keys disagree with the sessions",
+            "@999.0 node 2: in_flight disagrees with the sessions",
+        ]
+
     def test_stationary_nodes_never_relay(self, tmp_path):
         out = run_simulation(shuttle_spec(tmp_path, pedestrians=2), "Epidemic", seed=4)
         delivered_keys = {(d.time, d.message_id, d.to_host) for d in out.deliveries}
@@ -562,6 +591,51 @@ class TestGoldenLogs:
             for fname in LOG_FILES.values()
         }
         assert digests == GOLDEN_LOGS[name]
+
+
+# -------------------------------------------------------------- contact plan
+
+
+class ByContactsAndDegree:
+    """Stub predictor that accepts some peers and vetoes others."""
+
+    def decide(self, features):
+        score = features["contact_freq"] + features["degree"]
+        return int(score > 3.0), score / 40.0
+
+
+class TestContactPlan:
+    @pytest.mark.parametrize("profile", ["desk", "urban"])
+    def test_replaying_another_protocols_plan_matches_a_fresh_run(self, profile):
+        if profile == "desk":
+            spec = desk_scenario(pedestrians=10, cars=10, duration_s=900.0)
+        else:
+            spec = replace(desk_scenario(12, 12, duration_s=1800.0), **URBAN)
+        plan = run_simulation(spec, "Epidemic", seed=8).plan
+        assert plan.transitions and all(
+            downs or ups for downs, ups in plan.transitions.values()
+        )
+        for router in ("SprayAndWait", "MLPBasedRouter", "RandomRouter", "Epidemic"):
+            fresh, replayed = (
+                run_simulation(spec, router, 8, predictor=ByContactsAndDegree(), plan=given)
+                for given in (None, plan)
+            )
+            assert replayed.plan is plan
+            assert log_text(replayed) == log_text(fresh)
+            assert replayed.deliveries  # the replay carried traffic
+
+    def test_a_plan_for_another_seed_or_spec_is_refused(self):
+        spec = desk_scenario(4, 4, duration_s=60.0)
+        plan = contact_plan(spec, 1)
+        with pytest.raises(ValueError, match="contact plan of P4_C4 seed 1 does not fit"):
+            Simulation(spec, SprayAndWaitRouter(), 2, plan=plan)
+        for other in (
+            with_regime(spec, "holiday" if spec.regime == "weekday" else "weekday"),
+            replace(spec, duration_s=30.0),
+        ):
+            with pytest.raises(ValueError, match="does not fit"):
+                run_simulation(other, "SprayAndWait", 1, plan=plan)
+        assert Simulation(spec, SprayAndWaitRouter(), 1, plan=plan).run().plan is plan
 
 
 # ------------------------------------------------------------ decision cache
