@@ -265,9 +265,13 @@ def assemble_dataset(
     for name in REVERSED_FEATURES:
         defined = [row[name] for row in train_rows if row[name] is not None]
         medians.append(float(np.median(defined)) if defined else 0.0)
-    medians = (medians[0], medians[1])
+    return _split_dataset(rows, (medians[0], medians[1]))
 
-    test_rows = [rows[i] for i in test_idx]
+
+def _split_dataset(rows: list[dict], medians: tuple[float, float]) -> Dataset:
+    """The dataset of split-tagged rows, imputed with the given medians."""
+    train_rows = [r for r in rows if r["split"] == "train"]
+    test_rows = [r for r in rows if r["split"] == "test"]
     return Dataset(
         rows=rows,
         feature_names=FEATURE_NAMES,
@@ -330,14 +334,4 @@ def load_dataset(in_dir: str | Path) -> Dataset:
             for name in FEATURE_NAMES:
                 row[name] = float(row[name]) if row[name] != "" else None
             rows.append(row)
-    train_rows = [r for r in rows if r["split"] == "train"]
-    test_rows = [r for r in rows if r["split"] == "test"]
-    return Dataset(
-        rows=rows,
-        feature_names=FEATURE_NAMES,
-        medians=(medians[0], medians[1]),
-        X_train=_imputed_matrix(train_rows, medians),
-        y_train=np.array([r["label"] for r in train_rows], dtype=int),
-        X_test=_imputed_matrix(test_rows, medians),
-        y_test=np.array([r["label"] for r in test_rows], dtype=int),
-    )
+    return _split_dataset(rows, medians)

@@ -124,7 +124,7 @@ class RandomForestClassifier:
         self.bootstrap = bootstrap
         self.seed = seed
 
-    def get_params(self, deep: bool = True) -> dict:
+    def get_params(self) -> dict:
         return {
             "n_estimators": self.n_estimators,
             "max_depth": self.max_depth,

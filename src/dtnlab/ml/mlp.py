@@ -133,7 +133,7 @@ class MlpClassifier:
         self.validation_fraction = validation_fraction
         self.seed = seed
 
-    def get_params(self, deep: bool = True) -> dict:
+    def get_params(self) -> dict:
         return {
             "hidden_layers": self.hidden_layers,
             "learning_rate": self.learning_rate,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -78,15 +78,7 @@ class RunMetrics:
     relayed: int
 
     def as_dict(self) -> dict:
-        return {
-            "delivery_probability": self.delivery_probability,
-            "overhead_ratio": self.overhead_ratio,
-            "latency_avg": self.latency_avg,
-            "buffertime_avg": self.buffertime_avg,
-            "created": self.created,
-            "delivered": self.delivered,
-            "relayed": self.relayed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunMetrics":

@@ -244,7 +244,6 @@ class Encounter:
     """Everything a router may consult for one directed decision point."""
 
     now: float
-    self_id: NodeId
     peer_id: NodeId
     replicas: list[ReplicaView]  # undecided replicas in buffer order
     peer_has: frozenset[str]

@@ -7,8 +7,9 @@ protocols over the same seed stay comparable.
 
 The contact process comes first: `contact_plan` walks the movers and
 records each tick's link transitions, ordered by node-index pair (i < j,
-row major).  It reads no engine state, so every protocol run over one
-(scenario, seed) can replay the same plan.  Each tick then advances time by
+row major), together with the contact log they write.  It reads no engine
+state, so every protocol run over one (scenario, seed) replays the same
+plan and hands out the same contact log.  Each tick then advances time by
 the fixed mobility step and processes, in this order: transfer progress and
 completions, the plan's link down then up transitions, TTL expiry, traffic
 generation, routing decisions, transfer starts.  The engine keeps the keys
@@ -171,11 +172,14 @@ def link_transitions(
 class ContactPlan:
     """The link transitions of one (scenario, seed), for any protocol to replay:
     a tick number (1 is the first) maps to that tick's (downs, ups) node-index
-    pairs, and ticks without a transition are left out."""
+    pairs, and ticks without a transition are left out.  contact_events is
+    the contact log of every run that replays the plan: each tick's downs,
+    then its ups, then a down at the end for every pair still linked."""
 
     spec: ScenarioSpec
     seed: int
     transitions: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
+    contact_events: list[ContactEvent]
 
 
 def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
@@ -212,6 +216,7 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
     in_range = np.zeros((len(nodes), len(nodes)), dtype=bool)
     range2 = spec.range_m * spec.range_m
     transitions = {}
+    events: list[ContactEvent] = []
     for k in range(1, round(spec.duration_s / spec.tick_s) + 1):
         for mover in movers:
             mover.advance(spec.tick_s)
@@ -220,7 +225,16 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
         in_range, ups, downs = link_transitions(positions, range2, in_range)
         if ups or downs:
             transitions[k] = (downs, ups)
-    return ContactPlan(spec, seed, transitions)
+            now = round(round(k * spec.tick_s, 4), 2)
+            events += [ContactEvent(now, nodes[i], nodes[j], False) for i, j in downs]
+            events += [ContactEvent(now, nodes[i], nodes[j], True) for i, j in ups]
+    end = round(spec.duration_s, 2)
+    rows, cols = np.triu(in_range, 1).nonzero()  # row major, so in (i, j) order
+    events += [
+        ContactEvent(end, nodes[i], nodes[j], False)
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ]
+    return ContactPlan(spec, seed, transitions, events)
 
 
 class NodeBuffer:
@@ -360,12 +374,8 @@ class Simulation:
         self._queued: set[tuple[int, int]] = set()
         self.relay_eligible = [node.node_class in MOBILE_CLASSES for node in self.nodes]
 
-        self.holders: dict[str, set[int]] = {}
-        self.open_residency: dict[tuple[int, str], float] = {}
         self.expiry_heap: list[tuple[float, str]] = []
-        self.message_index: dict[str, Message] = {}
 
-        self.contact_events: list[ContactEvent] = []
         self.deliveries: list[DeliveryRecord] = []
         self.relays: list[RelayEvent] = []
         self.residencies: list[ResidencyRecord] = []
@@ -389,7 +399,7 @@ class Simulation:
             seed=self.seed,
             duration_s=self.spec.duration_s,
             nodes=list(self.nodes),
-            contact_events=self.contact_events,
+            contact_events=self.plan.contact_events,
             deliveries=self.deliveries,
             relays=self.relays,
             residencies=self.residencies,
@@ -419,9 +429,6 @@ class Simulation:
     def _link_up(self, i: int, j: int, now: float) -> None:
         self.sessions[(i, j)] = LinkSession(up_since=now)
         insort(self.session_keys, (i, j))
-        self.contact_events.append(
-            ContactEvent(time=round(now, 2), a=self.nodes[i], b=self.nodes[j], up=True)
-        )
 
     def _link_down(self, i: int, j: int, now: float) -> None:
         session = self.sessions.pop((i, j))
@@ -429,9 +436,6 @@ class Simulation:
         self._queued.discard((i, j))
         if session.transfer is not None:
             self._release(session)
-        self.contact_events.append(
-            ContactEvent(time=round(now, 2), a=self.nodes[i], b=self.nodes[j], up=False)
-        )
         duration = now - session.up_since
         self._record_contact_end(i, j, duration)
 
@@ -461,10 +465,9 @@ class Simulation:
         # completing this tick ran first); residency closes at the boundary
         while self.expiry_heap and self.expiry_heap[0][0] <= now:
             boundary, mid = heapq.heappop(self.expiry_heap)
-            for holder in sorted(self.holders.get(mid, ())):
-                self.buffers[holder].remove(mid)
-                self._close_residency(holder, mid, boundary, "expired")
-            self.holders.pop(mid, None)
+            for node, buffer in enumerate(self.buffers):
+                if buffer.has(mid):
+                    self._close_residency(node, buffer.remove(mid), boundary, "expired")
             for key in sorted(self._transferring):
                 session = self.sessions[key]
                 if session.transfer.message_id == mid:
@@ -472,7 +475,6 @@ class Simulation:
 
     def _create_message(self, message: Message) -> None:
         self.messages.append(message)
-        self.message_index[message.id] = message
         source_idx = self.index[message.source]
         replica = Replica(
             message=message,
@@ -484,13 +486,8 @@ class Simulation:
             replica, self._sending_ids(source_idx)
         )
         for victim in evicted:
-            self._drop_holder(source_idx, victim.message.id)
-            self._close_residency(
-                source_idx, victim.message.id, message.created_at, "evicted"
-            )
+            self._close_residency(source_idx, victim, message.created_at, "evicted")
         if admitted:
-            self.holders.setdefault(message.id, set()).add(source_idx)
-            self.open_residency[(source_idx, message.id)] = message.created_at
             heapq.heappush(
                 self.expiry_heap, (message.created_at + message.ttl_s, message.id)
             )
@@ -502,23 +499,13 @@ class Simulation:
             return frozenset((t.message_id,))
         return frozenset()
 
-    def _drop_holder(self, node: int, mid: str) -> None:
-        holders = self.holders.get(mid)
-        if holders is not None:
-            holders.discard(node)
-            if not holders:
-                del self.holders[mid]
-
-    def _close_residency(self, node: int, mid: str, now: float, reason: str) -> None:
-        opened = self.open_residency.pop((node, mid), None)
-        if opened is None:
-            return
+    def _close_residency(self, node: int, replica: Replica, now: float, reason: str) -> None:
         self.residencies.append(
             ResidencyRecord(
                 time=round(now, 4),
                 node=self.nodes[node],
-                message_id=mid,
-                seconds=round(now - opened, 4),
+                message_id=replica.message.id,
+                seconds=round(now - replica.arrived_at, 4),
                 reason=reason,
             )
         )
@@ -560,7 +547,6 @@ class Simulation:
         medians = self.medians
         enc = Encounter(
             now=now,
-            self_id=self.nodes[sender],
             peer_id=self.nodes[receiver],
             replicas=offered,
             peer_has=frozenset(self.buffers[receiver].entries),
@@ -668,8 +654,7 @@ class Simulation:
                 )
             self.stats[transfer.receiver].as_dest += 1
             self.buffers[transfer.sender].remove(message.id)
-            self._drop_holder(transfer.sender, message.id)
-            self._close_residency(transfer.sender, message.id, now, "delivered")
+            self._close_residency(transfer.sender, replica, now, "delivered")
             return
 
         copies = 1
@@ -685,15 +670,12 @@ class Simulation:
             incoming, self._sending_ids(transfer.receiver)
         )
         for victim in evicted:
-            self._drop_holder(transfer.receiver, victim.message.id)
-            self._close_residency(transfer.receiver, victim.message.id, now, "evicted")
+            self._close_residency(transfer.receiver, victim, now, "evicted")
         if not admitted:
             return  # no room even after eviction; nothing materialized
         if transfer.kind == SPLIT:
             replica.copies -= copies  # sender keeps ceil(c/2)
         self.relays.append(RelayEvent(now, sender_id, receiver_id, message.id))
-        self.holders.setdefault(message.id, set()).add(transfer.receiver)
-        self.open_residency[(transfer.receiver, message.id)] = now
         self._new_message_nodes.add(transfer.receiver)
 
     # ------------------------------------------------------------- finishing
@@ -704,29 +686,24 @@ class Simulation:
             if session.transfer is not None:
                 self._release(session)
             i, j = key
-            self.contact_events.append(
-                ContactEvent(
-                    time=round(end_time, 2), a=self.nodes[i], b=self.nodes[j], up=False
-                )
-            )
             self._record_contact_end(i, j, end_time - session.up_since)
         self.sessions.clear()
         self.session_keys.clear()
-        for node, mid in sorted(self.open_residency):
-            self._close_residency(node, mid, end_time, "end")
+        for node, buffer in enumerate(self.buffers):
+            for mid in sorted(buffer.entries):
+                self._close_residency(node, buffer.entries[mid], end_time, "end")
 
     def _audit(self, now: float) -> None:
-        """Check the copy budget, and re-derive the engine's indexes from the
-        buffers and the sessions to compare them with the ones it keeps."""
+        """Check buffer accounting and the copy budget, and re-derive the
+        engine's session indexes from the sessions to compare them with the
+        ones it keeps."""
         assert self.audit is not None
         violations = self.audit.violations
-        held: dict[str, set[int]] = {}
         copies: dict[str, int] = {}
         for node, buffer in enumerate(self.buffers):
             size = 0
             for mid, replica in buffer.entries.items():
                 size += replica.message.size
-                held.setdefault(mid, set()).add(node)
                 copies[mid] = copies.get(mid, 0) + replica.copies
             if buffer.used != size or size > buffer.capacity:
                 violations.append(
@@ -741,8 +718,6 @@ class Simulation:
                 self.audit.copy_peaks[mid] = total
             if total > budget and not isinstance(self.router, EpidemicRouter):
                 violations.append(f"{mid}: copy sum {total} exceeds budget {budget}")
-        if held != self.holders:
-            violations.append(f"@{now}: holders disagree with the buffer contents")
 
         sessions = self.sessions
         if self.session_keys != sorted(sessions):

@@ -44,6 +44,24 @@ def test_tracer_wraps_every_layer_and_restores_it(bench_modules):
         assert owner.__dict__[attr] is original
 
 
+def test_tracer_after_hooks_count_a_traced_run(bench_modules, tmp_path):
+    from dtnlab import pipeline, simcore
+    from dtnlab.scenario import desk_scenario
+
+    _, tracer = bench_modules
+    spec = desk_scenario(4, 4, duration_s=60.0)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        pipeline.write_run(tmp_path, simcore.run_simulation(spec, "SprayAndWait", 1), spec)
+    finally:
+        t.uninstall()
+    assert t.counts["ticks"] == 600
+    assert t.counts["link_ups"] > 0
+    assert t.counts["buffer_admits"] > 0
+    assert t.counts["write_run_bytes"] > 0
+
+
 def test_loop_uses_only_names_the_package_has(bench_modules):
     loop, _ = bench_modules
     tree = ast.parse((BENCH / "loop.py").read_text())

@@ -27,7 +27,6 @@ from dtnlab.routing import (
     online_features,
 )
 
-P0 = NodeId.parse("p0")
 P1 = NodeId.parse("p1")
 C0 = NodeId.parse("c0")
 H0 = NodeId.parse("h0")
@@ -53,7 +52,6 @@ def encounter(
         peer_query = lambda: query()
     return Encounter(
         now=now,
-        self_id=P0,
         peer_id=peer,
         replicas=list(replicas),
         peer_has=frozenset(peer_has),
