@@ -239,7 +239,10 @@ def load_predictor(
         endpoint = predictor_spec[len("http:") :]
         if not endpoint.startswith("//"):
             endpoint = "//" + endpoint
-        return HttpPredictor("http:" + endpoint), model.medians
+        try:
+            return HttpPredictor("http:" + endpoint), model.medians
+        except ValueError as err:
+            raise ConfigurationError(f"predictor {predictor_spec!r}: {err}") from err
     raise ConfigurationError(
         f"unknown predictor {predictor_spec!r}; use inprocess or http:<addr>"
     )

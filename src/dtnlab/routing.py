@@ -34,7 +34,7 @@ COPY = "copy"
 
 
 class PredictorUnavailableError(RuntimeError):
-    """The relay-quality predictor could not be reached in time."""
+    """The relay-quality predictor could not answer: unreachable, too slow, or failing (5xx)."""
 
 
 class RelayQuery(NamedTuple):

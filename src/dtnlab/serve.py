@@ -9,24 +9,30 @@ Both backends score through ``LoadedModel.decide``, so they return
 bit-identical answers for the same model and input.  Only request bodies,
 which come from outside the program, are validated (``evaluate``); the
 in-process backend gets the engine's own values, whose one outside part,
-the model's medians, ``load_model`` checks.  ``HttpPredictor`` is the
-client side; it maps timeouts and connection failures to
-``PredictorUnavailableError`` so the router can fall back to plain spray.
+the model's medians, ``load_model`` checks.
+
+``HttpPredictor`` is the client side, on the standard library's
+``http.client``.  Its fault policy: a refused connection, a timeout, a
+connection dropped without a reply, and any 5xx raise
+``PredictorUnavailableError``, so the router falls back to plain spray and
+counts the fallback.  A 4xx, or a 200 whose body is not JSON, raises
+``RuntimeError``: the query or the service is wrong, which is a bug.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import socket
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Iterator
-
-import requests
+from urllib.parse import urlsplit
 
 from .ml.model_io import LoadedModel, load_model
 from .routing import PredictorUnavailableError
@@ -216,33 +222,76 @@ class InProcessPredictor:
         return self.model.decide(features)
 
 
-@dataclass
 class HttpPredictor:
-    """Client for the /predict endpoint.
+    """Client for the /predict endpoint over one keep-alive connection.
 
-    Timeouts and connection failures raise PredictorUnavailableError within
-    timeout_s; anything else unexpected surfaces as RuntimeError.  Exactly
-    one POST goes out per decide() call: response caching is the router's
-    job, not the client's.
+    ``endpoint`` is ``http://host[:port]``; anything else raises ValueError
+    here, before any run starts.  ``timeout_s`` bounds the connect and each
+    read.  Refused connections, timeouts, a connection dropped without a
+    reply and any 5xx raise PredictorUnavailableError; a 4xx or a 200 whose
+    body is not JSON raises RuntimeError.  Exactly one answered POST goes
+    out per decide() call: response caching is the router's job, not the
+    client's.
     """
 
-    endpoint: str
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    session: requests.Session = field(default_factory=requests.Session)
+    def __init__(self, endpoint: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
+        url = urlsplit(endpoint)
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise ValueError(f"predictor endpoint {endpoint!r}: {exc}") from None
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(
+                f"predictor endpoint {endpoint!r} is not http://host[:port]"
+            )
+        self.endpoint = endpoint
+        self._path = f"{url.path}/predict"
+        self._conn = http.client.HTTPConnection(url.hostname, port, timeout=timeout_s)
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        conn = self._conn
+        while True:  # at most twice: a second pass always runs on a fresh connection
+            reused = conn.sock is not None
+            if not reused:
+                conn.connect()
+                # headers and body go out in two sends; without this the body
+                # waits on the server's delayed ACK
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                conn.request(
+                    "POST", self._path, body, {"Content-Type": "application/json"}
+                )
+                reply = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # the server closed the idle connection (after HANDLER_TIMEOUT_S)
+                # before this request reached it: reopen once
+                conn.close()
+                continue
+            return reply.status, reply.read()
 
     def predict(self, features: dict[str, float]) -> dict:
         try:
-            resp = self.session.post(
-                f"{self.endpoint}/predict", json=features, timeout=self.timeout_s
-            )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+            status, raw = self._post(json.dumps(features).encode())
+        except (OSError, http.client.HTTPException) as exc:
+            self._conn.close()
             raise PredictorUnavailableError(
                 f"predictor at {self.endpoint} unreachable: {exc.__class__.__name__}"
             ) from exc
-        if resp.status_code != 200:
-            detail = resp.text.strip()
-            raise RuntimeError(f"/predict returned {resp.status_code}: {detail}")
-        return resp.json()
+        if status >= 500:
+            raise PredictorUnavailableError(
+                f"predictor at {self.endpoint} failed with {status}"
+            )
+        if status != 200:
+            detail = raw.decode(errors="replace").strip()
+            raise RuntimeError(f"/predict returned {status}: {detail}")
+        try:
+            return json.loads(raw)
+        except ValueError:
+            raise RuntimeError(
+                f"/predict answered 200 with a body that is not JSON: {raw!r}"
+            ) from None
 
     def decide(self, features: dict[str, float]) -> tuple[int, float]:
         payload = self.predict(features)

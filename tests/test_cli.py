@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dtnlab
 import dtnlab.pipeline as pipeline
 from dtnlab.cli import main
+from dtnlab.pipeline import load_predictor
+from dtnlab.routing import FEATURE_NAMES
 from dtnlab.scenario import (
     ConfigurationError,
     desk_scenario,
@@ -17,6 +23,7 @@ from dtnlab.scenario import (
     save_scenario,
     scenario_ini,
 )
+from dtnlab.serve import HttpPredictor, running_server
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,25 @@ class TestSimulate:
         assert "--model" in capsys.readouterr().err
         assert not (workspace / "never_gated").exists()
 
+    def test_bad_predictor_endpoint_fails_before_any_run(self, workspace, capsys):
+        rc = main(
+            [
+                "simulate",
+                str(workspace / "p8c8.ini"),
+                "--router",
+                "MLPBasedRouter",
+                "--model",
+                str(workspace / "model.json"),
+                "--predictor",
+                "http:localhost:80x",
+                "--out",
+                str(workspace / "never_served"),
+            ]
+        )
+        assert rc == 2
+        assert "localhost:80x" in capsys.readouterr().err
+        assert not (workspace / "never_served").exists()
+
     def test_unknown_router_is_a_usage_error(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -161,6 +187,43 @@ class TestSimulate:
         rc = main(["simulate", str(tmp_path / "ghost.ini"), "--out", str(tmp_path / "n")])
         assert rc == 2
         assert "ghost.ini" in capsys.readouterr().err
+
+
+class TestLoadPredictor:
+    def test_bad_endpoint_is_a_configuration_error(self, workspace):
+        with pytest.raises(ConfigurationError, match="localhost:80x") as exc:
+            load_predictor(str(workspace / "model.json"), "http:localhost:80x")
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_http_predictor_round_trip(self, workspace):
+        model = workspace / "model.json"
+        local, medians = load_predictor(str(model), "inprocess")
+        with running_server(model) as server:
+            port = server.server_address[1]
+            remote, remote_medians = load_predictor(str(model), f"http:127.0.0.1:{port}")
+            assert isinstance(remote, HttpPredictor)
+            assert remote_medians == medians
+            for k in range(5):
+                features = {name: float(k + i) for i, name in enumerate(FEATURE_NAMES)}
+                assert remote.decide(features) == local.decide(features)
+
+
+def test_cli_import_leaves_requests_out():
+    probe = (
+        "import dtnlab.cli, sys; "
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    )
+    src = str(Path(dtnlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestExtract:

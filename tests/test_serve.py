@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import random
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -15,7 +18,10 @@ import requests
 from dtnlab.features import ZScoreNormalizer
 from dtnlab.ml.mlp import MlpClassifier
 from dtnlab.ml.model_io import LoadedModel, load_model, save_model
+from dtnlab.pipeline import compute_metrics
 from dtnlab.routing import FEATURE_NAMES, PredictorUnavailableError
+from dtnlab.scenario import desk_scenario
+from dtnlab.simcore import run_simulation
 from dtnlab import serve
 from dtnlab.serve import (
     MAX_BODY_BYTES,
@@ -248,7 +254,97 @@ class TestBackendEquivalence:
         assert concurrent == sequential
 
 
+class _FixedReply(BaseHTTPRequestHandler):
+    """Answers every POST with one fixed status and body, on keep-alive."""
+
+    protocol_version = "HTTP/1.1"
+    status = 200
+    body = b""
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(self.status)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+
+@contextmanager
+def stub_service(status: int, body: bytes):
+    """A /predict stand-in that always answers status; yields its endpoint."""
+    handler = type("Stub", (_FixedReply,), {"status": status, "body": body})
+    stub = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=stub.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{stub.server_address[1]}"
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(timeout=5.0)
+
+
 class TestHttpPredictorFaults:
+    @pytest.mark.parametrize("status", [503, 500])
+    def test_server_error_maps_to_unavailable(self, status):
+        with stub_service(status, b'{"error": "overloaded"}') as endpoint:
+            client = HttpPredictor(endpoint, timeout_s=2.0)
+            with pytest.raises(PredictorUnavailableError, match=str(status)):
+                client.decide(sample_features())
+
+    def test_not_found_is_a_bug_naming_the_status(self):
+        with stub_service(404, b'{"error": "unknown path"}') as endpoint:
+            client = HttpPredictor(endpoint, timeout_s=2.0)
+            with pytest.raises(RuntimeError, match="404") as exc:
+                client.decide(sample_features())
+        assert not isinstance(exc.value, PredictorUnavailableError)
+
+    def test_non_json_answer_is_a_bug(self):
+        with stub_service(200, b"not json") as endpoint:
+            client = HttpPredictor(endpoint, timeout_s=2.0)
+            with pytest.raises(RuntimeError, match="not JSON") as exc:
+                client.decide(sample_features())
+        assert not isinstance(exc.value, PredictorUnavailableError)
+
+    def test_failing_service_falls_back_to_spray_for_a_whole_run(self):
+        spec = desk_scenario(4, 4, duration_s=600.0)
+        seed = 2  # seeds 1 and 3-10 reach no decision point at this size
+        with stub_service(503, b'{"error": "overloaded"}') as endpoint:
+            gated = run_simulation(
+                spec,
+                "MLPBasedRouter",
+                seed,
+                predictor=HttpPredictor(endpoint),
+                feature_medians=(0.0, 0.0),
+            )
+        plain = run_simulation(spec, "SprayAndWait", seed)
+        assert gated.eligible_encounters > 0
+        assert gated.fallbacks == gated.eligible_encounters
+        assert compute_metrics(gated) == compute_metrics(plain)
+
+    def test_idle_connection_closed_by_the_server_is_reopened(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(serve._Handler, "timeout", 0.3)
+        client = HttpPredictor(server.endpoint, timeout_s=2.0)
+        before = server.stats.predictions
+        features = sample_features(random.Random(3))
+        first = client.decide(features)
+        time.sleep(0.6)  # the handler drops the kept-alive connection meanwhile
+        assert client.decide(features) == first
+        assert server.stats.predictions == before + 2
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["http://localhost:80x", "https://127.0.0.1:8000", "http://:8000", "localhost:8000"],
+    )
+    def test_bad_endpoint_is_refused_at_construction(self, endpoint):
+        with pytest.raises(ValueError, match="predictor endpoint"):
+            HttpPredictor(endpoint)
+
     def test_connection_refused_maps_to_unavailable(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
