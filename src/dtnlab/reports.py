@@ -24,11 +24,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .nodes import NodeId
 
 DELIVERED_HEADER = "# time ID size hopcount deliveryTime fromHost toHost remainingTtl isResponse path"
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -39,6 +41,32 @@ class ParseError(ValueError):
         self.line_no = line_no
         self.line = line
         self.reason = reason
+
+
+def _parse_lines(
+    lines: Iterable[str], parse: Callable[[str, int], T], start: int = 1
+) -> list[T]:
+    """``parse(line, line_no)`` over the non-blank lines, numbered from
+    ``start``; any other ValueError it raises becomes a ParseError on its line."""
+    out = []
+    for line_no, raw in enumerate(lines, start=start):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        try:
+            out.append(parse(line, line_no))
+        except ParseError:
+            raise
+        except ValueError as err:
+            raise ParseError(line_no, line, str(err)) from err
+    return out
+
+
+def _fields(line: str, count: int) -> list[str]:
+    fields = line.split(" ")
+    if len(fields) != count:
+        raise ValueError(f"expected {count} fields, got {len(fields)}")
+    return fields
 
 
 @dataclass(frozen=True)
@@ -111,13 +139,7 @@ def contact_log_lines(events: Iterable[ContactEvent]) -> list[str]:
 
 
 def parse_contact_lines(lines: Iterable[str]) -> list[ContactEvent]:
-    events = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        events.append(parse_contact_line(line, line_no))
-    return events
+    return _parse_lines(lines, parse_contact_line)
 
 
 # ------------------------------------------------------------------- delivered
@@ -163,21 +185,15 @@ def delivered_log_lines(records: Sequence[DeliveryRecord]) -> list[str]:
 
 
 def parse_delivered_lines(lines: Iterable[str]) -> list[DeliveryRecord]:
-    records = []
-    saw_header = False
-    for line_no, raw in enumerate(lines, start=1):
+    rest = iter(lines)
+    for line_no, raw in enumerate(rest, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
-        if not saw_header:
-            if line != DELIVERED_HEADER:
-                raise ParseError(line_no, line, "missing delivered-report header")
-            saw_header = True
-            continue
-        records.append(parse_delivery_line(line, line_no))
-    if not saw_header:
-        raise ParseError(1, "", "empty delivered report")
-    return records
+        if line != DELIVERED_HEADER:
+            raise ParseError(line_no, line, "missing delivered-report header")
+        return _parse_lines(rest, parse_delivery_line, start=line_no + 1)
+    raise ParseError(1, "", "empty delivered report")
 
 
 # ------------------------------------------------- auxiliary relay/buffer logs
@@ -205,26 +221,11 @@ def relay_log_lines(events: Iterable[RelayEvent]) -> list[str]:
 
 
 def parse_relay_lines(lines: Iterable[str]) -> list[RelayEvent]:
-    events = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(" ")
-        if len(fields) != 4:
-            raise ParseError(line_no, line, f"expected 4 fields, got {len(fields)}")
-        try:
-            events.append(
-                RelayEvent(
-                    time=float(fields[0]),
-                    sender=NodeId.parse(fields[1]),
-                    receiver=NodeId.parse(fields[2]),
-                    message_id=fields[3],
-                )
-            )
-        except ValueError as err:
-            raise ParseError(line_no, line, str(err)) from err
-    return events
+    def relay(line: str, _: int) -> RelayEvent:
+        time_s, sender, receiver, mid = _fields(line, 4)
+        return RelayEvent(float(time_s), NodeId.parse(sender), NodeId.parse(receiver), mid)
+
+    return _parse_lines(lines, relay)
 
 
 def residency_log_lines(records: Iterable[ResidencyRecord]) -> list[str]:
@@ -235,27 +236,11 @@ def residency_log_lines(records: Iterable[ResidencyRecord]) -> list[str]:
 
 
 def parse_residency_lines(lines: Iterable[str]) -> list[ResidencyRecord]:
-    records = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(" ")
-        if len(fields) != 5:
-            raise ParseError(line_no, line, f"expected 5 fields, got {len(fields)}")
-        try:
-            records.append(
-                ResidencyRecord(
-                    time=float(fields[0]),
-                    node=NodeId.parse(fields[1]),
-                    message_id=fields[2],
-                    seconds=float(fields[3]),
-                    reason=fields[4],
-                )
-            )
-        except ValueError as err:
-            raise ParseError(line_no, line, str(err)) from err
-    return records
+    def residency(line: str, _: int) -> ResidencyRecord:
+        time_s, node, mid, seconds, reason = _fields(line, 5)
+        return ResidencyRecord(float(time_s), NodeId.parse(node), mid, float(seconds), reason)
+
+    return _parse_lines(lines, residency)
 
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:

@@ -4,13 +4,21 @@ Scenarios are named P<x>_C<y> after their pedestrian and car counts and load
 from INI files with nested sections.  The same spec drives the simulator, the
 sweep harness, and dataset extraction, so everything a run depends on lives
 here except the run seed.
+
+SCHEMA owns the file format: one (section, key, field, parser) row per key,
+in the order scenario_ini writes them; MAP_KINDS says which [map] keys each
+map kind takes.  load_scenario accepts exactly the keys scenario_ini writes
+for the file's map kind, names every unknown section or key, and names the
+section.key of every value it cannot parse.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
+from typing import Any, Callable
 
 from .mobility import (
     REGIMES,
@@ -23,12 +31,12 @@ from .nodes import NodeClass, NodeId
 
 
 class ConfigurationError(ValueError):
-    """Invalid scenario configuration; names the offending field."""
+    """Invalid scenario configuration; names the offending section.key."""
 
 
 @dataclass(frozen=True)
 class MapSpec:
-    kind: str = "grid"  # grid | random_planar | file
+    kind: str = "grid"  # a key of MAP_KINDS
     rows: int = 8
     cols: int = 8
     spacing_m: float = 100.0
@@ -66,14 +74,8 @@ class ScenarioSpec:
     destinations: tuple[str, ...] = ()  # empty means every hospital
 
     def build_map(self) -> MapGraph:
-        m = self.map
-        if m.kind == "grid":
-            return grid_map(m.rows, m.cols, m.spacing_m)
-        if m.kind == "random_planar":
-            return random_planar_map(m.n_vertices, m.extent_m, m.seed)
-        if m.kind == "file":
-            return load_map(m.path)
-        raise ConfigurationError(f"map.kind: unknown kind {m.kind!r}")
+        builder, fields = _map_kind(self.map.kind)
+        return builder(*(getattr(self.map, f) for f in fields))
 
     def roster(self) -> list[NodeId]:
         """Fixed node ordering: pedestrians, cars, accident, hospitals."""
@@ -159,18 +161,67 @@ class ScenarioSpec:
         return graph
 
 
-def _pair(raw: str, cast) -> tuple:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ConfigurationError(f"expected 'lo,hi', got {raw!r}")
-    return (cast(parts[0]), cast(parts[1]))
+@dataclass(frozen=True)
+class _Items:
+    """Parser of a comma-separated value: exactly two items if ``pair``, else
+    any number, none for an empty value."""
+
+    cast: type
+    pair: bool = False
+
+    def __call__(self, raw: str) -> tuple:
+        parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
+        if self.pair and len(parts) != 2:
+            raise ValueError(f"expected 'lo,hi', got {raw!r}")
+        return tuple(self.cast(p) for p in parts)
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(p.strip()) for p in raw.split(","))
+_FLOAT_PAIR = _Items(float, pair=True)
+
+# The scenario file format, in the order scenario_ini writes it: (section, key,
+# field, parser).  Rows of section "map" are MapSpec fields, the others
+# ScenarioSpec fields.  A map row is read and written only for the kinds whose
+# MAP_KINDS entry names it.
+SCHEMA: tuple[tuple[str, str, str, Any], ...] = (
+    ("scenario", "name", "name", str),
+    ("scenario", "duration_s", "duration_s", float),
+    ("scenario", "tick_s", "tick_s", float),
+    ("nodes", "pedestrians", "pedestrians", int),
+    ("nodes", "cars", "cars", int),
+    ("nodes", "hospitals", "hospitals", int),
+    ("map", "kind", "kind", str),
+    ("map", "rows", "rows", int),
+    ("map", "cols", "cols", int),
+    ("map", "spacing_m", "spacing_m", float),
+    ("map", "n_vertices", "n_vertices", int),
+    ("map", "extent_m", "extent_m", float),
+    ("map", "seed", "seed", int),
+    ("map", "path", "path", str),
+    ("radio", "range_m", "range_m", float),
+    ("radio", "bandwidth_bps", "bandwidth_bps", float),
+    ("buffer", "capacity_bytes", "buffer_bytes", int),
+    ("traffic", "interval_s", "interval_s", _FLOAT_PAIR),
+    ("traffic", "size_bytes", "size_bytes", _Items(int, pair=True)),
+    ("traffic", "ttl_s", "ttl_s", float),
+    ("traffic", "copies", "copies", int),
+    ("traffic", "destinations", "destinations", _Items(str)),
+    ("mobility", "regime", "regime", str),
+    ("mobility", "hotspots", "hotspots", _Items(int)),
+    ("mobility", "hotspot_bias", "hotspot_bias", float),
+    ("mobility", "pedestrian_speed_ms", "pedestrian_speed_ms", _FLOAT_PAIR),
+    ("mobility", "car_speed_kmh", "car_speed_kmh", _FLOAT_PAIR),
+    ("mobility", "pedestrian_pause_s", "pedestrian_pause_s", _FLOAT_PAIR),
+    ("mobility", "car_pause_s", "car_pause_s", _FLOAT_PAIR),
+    ("placement", "accident_vertex", "accident_vertex", int),
+    ("placement", "hospital_vertices", "hospital_vertices", _Items(int)),
+)
+
+# kind -> (builder, the MapSpec fields it takes, in its argument order)
+MAP_KINDS: dict[str, tuple[Callable[..., MapGraph], tuple[str, ...]]] = {
+    "grid": (grid_map, ("rows", "cols", "spacing_m")),
+    "random_planar": (random_planar_map, ("n_vertices", "extent_m", "seed")),
+    "file": (load_map, ("path",)),
+}
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -180,151 +231,74 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         raise ConfigurationError(f"cannot read scenario file {path}")
     try:
         spec = _from_parser(parser)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise ConfigurationError(f"{path}: {err}") from err
     spec.validate()
     return spec
 
 
+def _map_kind(kind: str) -> tuple[Callable[..., MapGraph], tuple[str, ...]]:
+    if kind not in MAP_KINDS:
+        raise ConfigurationError(f"map.kind: unknown kind {kind!r}")
+    return MAP_KINDS[kind]
+
+
+def _rows(kind: str) -> list[tuple[str, str, str, Any]]:
+    """The schema rows a scenario file with this map kind holds."""
+    fields = ("kind", *_map_kind(kind)[1])
+    return [row for row in SCHEMA if row[0] != "map" or row[2] in fields]
+
+
 def _from_parser(parser: configparser.ConfigParser) -> ScenarioSpec:
     """The spec the file describes; every section and key it holds must be
-    one that is read here, so a typo fails instead of leaving a default."""
-    defaults = ScenarioSpec()
-    known: set[tuple[str, str]] = set()
-
-    def get(section: str, option: str, cast, fallback):
-        known.add((section, option))
-        if parser.has_option(section, option):
-            return cast(parser.get(section, option))
-        return fallback
-
-    map_spec = MapSpec(
-        kind=get("map", "kind", str, defaults.map.kind),
-        rows=get("map", "rows", int, defaults.map.rows),
-        cols=get("map", "cols", int, defaults.map.cols),
-        spacing_m=get("map", "spacing_m", float, defaults.map.spacing_m),
-        n_vertices=get("map", "n_vertices", int, defaults.map.n_vertices),
-        extent_m=get("map", "extent_m", float, defaults.map.extent_m),
-        seed=get("map", "seed", int, defaults.map.seed),
-        path=get("map", "path", str, defaults.map.path),
-    )
-    spec = ScenarioSpec(
-        name=get("scenario", "name", str, defaults.name),
-        duration_s=get("scenario", "duration_s", float, defaults.duration_s),
-        tick_s=get("scenario", "tick_s", float, defaults.tick_s),
-        pedestrians=get("nodes", "pedestrians", int, defaults.pedestrians),
-        cars=get("nodes", "cars", int, defaults.cars),
-        hospitals=get("nodes", "hospitals", int, defaults.hospitals),
-        map=map_spec,
-        range_m=get("radio", "range_m", float, defaults.range_m),
-        bandwidth_bps=get("radio", "bandwidth_bps", float, defaults.bandwidth_bps),
-        buffer_bytes=get("buffer", "capacity_bytes", int, defaults.buffer_bytes),
-        interval_s=get("traffic", "interval_s", lambda r: _pair(r, float), defaults.interval_s),
-        size_bytes=get("traffic", "size_bytes", lambda r: _pair(r, int), defaults.size_bytes),
-        ttl_s=get("traffic", "ttl_s", float, defaults.ttl_s),
-        copies=get("traffic", "copies", int, defaults.copies),
-        regime=get("mobility", "regime", str, defaults.regime),
-        hotspots=get("mobility", "hotspots", _int_list, defaults.hotspots),
-        hotspot_bias=get("mobility", "hotspot_bias", float, defaults.hotspot_bias),
-        pedestrian_speed_ms=get(
-            "mobility", "pedestrian_speed_ms", lambda r: _pair(r, float), defaults.pedestrian_speed_ms
-        ),
-        car_speed_kmh=get(
-            "mobility", "car_speed_kmh", lambda r: _pair(r, float), defaults.car_speed_kmh
-        ),
-        pedestrian_pause_s=get(
-            "mobility", "pedestrian_pause_s", lambda r: _pair(r, float), defaults.pedestrian_pause_s
-        ),
-        car_pause_s=get(
-            "mobility", "car_pause_s", lambda r: _pair(r, float), defaults.car_pause_s
-        ),
-        accident_vertex=get("placement", "accident_vertex", int, defaults.accident_vertex),
-        hospital_vertices=get(
-            "placement", "hospital_vertices", _int_list, defaults.hospital_vertices
-        ),
-        destinations=get(
-            "traffic", "destinations", lambda r: tuple(p.strip() for p in r.split(",")), ()
-        ),
-    )
-    sections = {section for section, _ in known}
+    one of its map kind's schema rows, so a typo fails instead of leaving a
+    default."""
+    kind = parser.get("map", "kind", fallback=MapSpec.kind)
+    rows = {(section, key): (field, parse) for section, key, field, parse in _rows(kind)}
+    sections = {section for section, _ in rows}
+    map_values: dict[str, Any] = {}
+    spec_values: dict[str, Any] = {}
     unknown = []
     for section in parser.sections():
         if section not in sections:
             unknown.append(f"section [{section}]")
             continue
-        unknown += [
-            f"key {section}.{option}"
-            for option in parser.options(section)
-            if (section, option) not in known
-        ]
+        for key, raw in parser.items(section):
+            if (section, key) not in rows:
+                unknown.append(f"key {section}.{key}")
+                continue
+            field, parse = rows[section, key]
+            try:
+                (map_values if section == "map" else spec_values)[field] = parse(raw)
+            except ValueError as err:
+                raise ConfigurationError(f"{section}.{key}: {err}") from err
     if unknown:
         raise ConfigurationError("unknown " + ", ".join(unknown))
-    return spec
+    return ScenarioSpec(map=MapSpec(**map_values), **spec_values)
+
+
+def _render(value: Any, parse: Any) -> str:
+    if isinstance(parse, _Items):
+        return ",".join(_render(item, parse.cast) for item in value)
+    return repr(value) if parse is float else str(value)
 
 
 def scenario_ini(spec: ScenarioSpec) -> str:
-    """Canonical INI rendering; load_scenario(write(spec)) round-trips."""
-    lines = [
-        "[scenario]",
-        f"name = {spec.name}",
-        f"duration_s = {spec.duration_s!r}",
-        f"tick_s = {spec.tick_s!r}",
-        "",
-        "[nodes]",
-        f"pedestrians = {spec.pedestrians}",
-        f"cars = {spec.cars}",
-        f"hospitals = {spec.hospitals}",
-        "",
-        "[map]",
-        f"kind = {spec.map.kind}",
-    ]
-    if spec.map.kind == "grid":
-        lines += [
-            f"rows = {spec.map.rows}",
-            f"cols = {spec.map.cols}",
-            f"spacing_m = {spec.map.spacing_m!r}",
-        ]
-    elif spec.map.kind == "random_planar":
-        lines += [
-            f"n_vertices = {spec.map.n_vertices}",
-            f"extent_m = {spec.map.extent_m!r}",
-            f"seed = {spec.map.seed}",
-        ]
-    else:
-        lines.append(f"path = {spec.map.path}")
-    lines += [
-        "",
-        "[radio]",
-        f"range_m = {spec.range_m!r}",
-        f"bandwidth_bps = {spec.bandwidth_bps!r}",
-        "",
-        "[buffer]",
-        f"capacity_bytes = {spec.buffer_bytes}",
-        "",
-        "[traffic]",
-        f"interval_s = {spec.interval_s[0]!r},{spec.interval_s[1]!r}",
-        f"size_bytes = {spec.size_bytes[0]},{spec.size_bytes[1]}",
-        f"ttl_s = {spec.ttl_s!r}",
-        f"copies = {spec.copies}",
-    ]
-    if spec.destinations:
-        lines.append(f"destinations = {','.join(spec.destinations)}")
-    lines += [
-        "",
-        "[mobility]",
-        f"regime = {spec.regime}",
-        f"hotspots = {','.join(str(h) for h in spec.hotspots)}",
-        f"hotspot_bias = {spec.hotspot_bias!r}",
-        f"pedestrian_speed_ms = {spec.pedestrian_speed_ms[0]!r},{spec.pedestrian_speed_ms[1]!r}",
-        f"car_speed_kmh = {spec.car_speed_kmh[0]!r},{spec.car_speed_kmh[1]!r}",
-        f"pedestrian_pause_s = {spec.pedestrian_pause_s[0]!r},{spec.pedestrian_pause_s[1]!r}",
-        f"car_pause_s = {spec.car_pause_s[0]!r},{spec.car_pause_s[1]!r}",
-        "",
-        "[placement]",
-        f"accident_vertex = {spec.accident_vertex}",
-        f"hospital_vertices = {','.join(str(v) for v in spec.hospital_vertices)}",
-        "",
-    ]
+    """Canonical INI rendering; load_scenario(write(spec)) round-trips.
+
+    Every schema row of the spec's map kind is written, in schema order,
+    except a list left at its empty default.
+    """
+    defaults = ScenarioSpec()
+    lines = []
+    for section, rows in groupby(_rows(spec.map.kind), key=lambda row: row[0]):
+        lines.append(f"[{section}]")
+        for _, key, field, parse in rows:
+            value = getattr(spec.map if section == "map" else spec, field)
+            if value == () and getattr(defaults, field, None) == ():
+                continue
+            lines.append(f"{key} = {_render(value, parse)}")
+        lines.append("")
     return "\n".join(lines)
 
 

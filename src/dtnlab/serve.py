@@ -225,8 +225,9 @@ class InProcessPredictor:
 class HttpPredictor:
     """Client for the /predict endpoint over one keep-alive connection.
 
-    ``endpoint`` is ``http://host[:port]``; anything else raises ValueError
-    here, before any run starts.  ``timeout_s`` bounds the connect and each
+    ``endpoint`` is ``http://host[:port]``, with or without a final ``/``;
+    anything else (another path, a query, a fragment, user info) raises
+    ValueError here, before any run starts.  Requests go to ``/predict``.  ``timeout_s`` bounds the connect and each
     read.  Refused connections, timeouts, a connection dropped without a
     reply and any 5xx raise PredictorUnavailableError; a 4xx or a 200 whose
     body is not JSON raises RuntimeError.  Exactly one answered POST goes
@@ -240,12 +241,16 @@ class HttpPredictor:
             port = url.port
         except ValueError as exc:
             raise ValueError(f"predictor endpoint {endpoint!r}: {exc}") from None
-        if url.scheme != "http" or not url.hostname:
+        if (
+            url.scheme != "http"
+            or not url.hostname
+            or url.path not in ("", "/")
+            or any(c in endpoint for c in "?#@")  # query, fragment, user info
+        ):
             raise ValueError(
                 f"predictor endpoint {endpoint!r} is not http://host[:port]"
             )
         self.endpoint = endpoint
-        self._path = f"{url.path}/predict"
         self._conn = http.client.HTTPConnection(url.hostname, port, timeout=timeout_s)
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
@@ -259,7 +264,7 @@ class HttpPredictor:
                 conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
                 conn.request(
-                    "POST", self._path, body, {"Content-Type": "application/json"}
+                    "POST", "/predict", body, {"Content-Type": "application/json"}
                 )
                 reply = conn.getresponse()
             except ConnectionError:

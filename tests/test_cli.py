@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,14 +16,20 @@ import pytest
 import dtnlab
 import dtnlab.pipeline as pipeline
 from dtnlab.cli import main
+from dtnlab.mobility import grid_map, save_map
 from dtnlab.pipeline import load_predictor
 from dtnlab.routing import FEATURE_NAMES
 from dtnlab.scenario import (
+    MAP_KINDS,
+    SCHEMA,
     ConfigurationError,
+    MapSpec,
+    ScenarioSpec,
     desk_scenario,
     load_scenario,
     save_scenario,
     scenario_ini,
+    with_regime,
 )
 from dtnlab.serve import HttpPredictor, running_server
 
@@ -189,6 +197,121 @@ class TestSimulate:
         assert "ghost.ini" in capsys.readouterr().err
 
 
+DESK = desk_scenario(8, 8, duration_s=900.0)
+# The urban profile of bench/loop.py and of the acceptance sweep.
+URBAN = dict(
+    map=MapSpec(kind="grid", rows=12, cols=12, spacing_m=100.0),
+    hotspots=(65, 66, 77, 78, 104),
+    accident_vertex=53,
+    hospital_vertices=(39, 102),
+    pedestrian_speed_ms=(0.15, 0.45),
+    pedestrian_pause_s=(60.0, 300.0),
+    ttl_s=1200.0,
+    copies=12,
+    bandwidth_bps=20_000_000.0,
+    size_bytes=(100_000, 200_000),
+)
+# Every manifest's config_sha256 is the digest of scenario_ini(spec), so these
+# bytes must not move.  The file map's path is relative to the working directory.
+GOLDEN_SCENARIOS = {
+    "default": (
+        ScenarioSpec(),
+        "9bb0723439235d8807323d89cf5eb1f659b35577595ae507a9a45bc23f39729b",
+    ),
+    "desk": (DESK, "5642ad0f0bed205e58eb4a4bf8e3f6b61bf352cc2e5591b653f09dfe1efa184c"),
+    "holiday_no_hotspots": (
+        replace(DESK, regime="holiday", hotspots=()),
+        "b6779dadf353070e73dbb420f96953bafb7e064e393369d8ce1e30ee0ae639eb",
+    ),
+    "destinations": (
+        replace(DESK, destinations=("h1",)),
+        "92ae9a20ee48504c880792f21ae6895320222cb69292aeef1a268c5e08b76c7f",
+    ),
+    "three_hospitals": (
+        replace(DESK, hospitals=3, hospital_vertices=(27, 36, 9)),
+        "ce2abf888f4381ba6c81d6367381dd6973eec97c4406ba9540bf8b8559cb5de8",
+    ),
+    "random_planar": (
+        replace(
+            DESK,
+            map=MapSpec(kind="random_planar", n_vertices=30, extent_m=600.0, seed=7),
+            hotspots=(1, 2, 3),
+            hospital_vertices=(5, 6),
+        ),
+        "b57a69370255e68d014b5799be4d207ea0dc258e03a68b0e8a736edbfcdf6765",
+    ),
+    "file": (
+        replace(DESK, map=MapSpec(kind="file", path="maps/town.map")),
+        "2b0efda520631d50b3f04f23d8e5e8853156806356ae1c8f147f9bc251a91bc7",
+    ),
+    "urban": (
+        with_regime(replace(desk_scenario(12, 12, duration_s=2400.0), **URBAN), "holiday"),
+        "76e1ae12e7d7875eb55ebe77664c5d5dc0908f77bdc1da394ef249c767e3bcfc",
+    ),
+}
+
+
+class TestScenarioFile:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_golden_bytes_and_round_trip(self, name, tmp_path, monkeypatch):
+        spec, digest = GOLDEN_SCENARIOS[name]
+        assert hashlib.sha256(scenario_ini(spec).encode()).hexdigest() == digest
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "maps").mkdir()
+        save_map(grid_map(8, 8, 100.0), tmp_path / "maps" / "town.map")
+        save_scenario(spec, tmp_path / "s.ini")
+        assert load_scenario(tmp_path / "s.ini") == spec
+
+    @pytest.mark.parametrize(
+        "golden, extra, named",
+        [
+            ("desk", "n_vertices = 60\npath = /nonexistent.map\n", ("map.n_vertices", "map.path")),
+            ("random_planar", "rows = 3\n", ("map.rows",)),
+        ],
+    )
+    def test_keys_of_another_map_kind_are_named(self, golden, extra, named, tmp_path):
+        text = scenario_ini(GOLDEN_SCENARIOS[golden][0])
+        bad = tmp_path / "city.ini"
+        bad.write_text(text.replace("[radio]", extra + "\n[radio]"))
+        with pytest.raises(ConfigurationError, match="unknown key") as exc:
+            load_scenario(bad)
+        for name in named:
+            assert name in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("cars = 8", "cars = many", "nodes.cars"),
+            ("interval_s = 25.0,35.0", "interval_s = 25.0", "traffic.interval_s"),
+        ],
+    )
+    def test_value_errors_name_their_key(self, old, new, named, tmp_path):
+        bad = tmp_path / "city.ini"
+        bad.write_text(scenario_ini(DESK).replace(old, new))
+        with pytest.raises(ConfigurationError) as exc:
+            load_scenario(bad)
+        assert f"city.ini: {named}: " in str(exc.value)
+
+    def test_unknown_map_kind_is_named_before_its_keys(self, tmp_path):
+        bad = tmp_path / "city.ini"
+        bad.write_text(scenario_ini(DESK).replace("kind = grid", "kind = hexgrid"))
+        with pytest.raises(ConfigurationError) as exc:
+            load_scenario(bad)
+        assert "map.kind: unknown kind 'hexgrid'" in str(exc.value)
+        assert "unknown key" not in str(exc.value)
+
+    def test_every_spec_field_has_exactly_one_schema_row(self):
+        owners = [
+            *(("spec", f.name) for f in fields(ScenarioSpec) if f.name != "map"),
+            *(("map", f.name) for f in fields(MapSpec)),
+        ]
+        rows = [("map" if section == "map" else "spec", f) for section, _, f, _ in SCHEMA]
+        assert sorted(rows) == sorted(owners)
+        assert len({(section, key) for section, key, _, _ in SCHEMA}) == len(SCHEMA)
+        for _, map_fields in MAP_KINDS.values():
+            assert set(map_fields) <= {f.name for f in fields(MapSpec)} - {"kind"}
+
+
 class TestLoadPredictor:
     def test_bad_endpoint_is_a_configuration_error(self, workspace):
         with pytest.raises(ConfigurationError, match="localhost:80x") as exc:
@@ -200,12 +323,15 @@ class TestLoadPredictor:
         local, medians = load_predictor(str(model), "inprocess")
         with running_server(model) as server:
             port = server.server_address[1]
-            remote, remote_medians = load_predictor(str(model), f"http:127.0.0.1:{port}")
-            assert isinstance(remote, HttpPredictor)
-            assert remote_medians == medians
-            for k in range(5):
-                features = {name: float(k + i) for i, name in enumerate(FEATURE_NAMES)}
-                assert remote.decide(features) == local.decide(features)
+            for suffix in ("", "/"):
+                remote, remote_medians = load_predictor(
+                    str(model), f"http:127.0.0.1:{port}{suffix}"
+                )
+                assert isinstance(remote, HttpPredictor)
+                assert remote_medians == medians
+                for k in range(5):
+                    features = {name: float(k + i) for i, name in enumerate(FEATURE_NAMES)}
+                    assert remote.decide(features) == local.decide(features)
 
 
 def test_cli_import_leaves_requests_out():

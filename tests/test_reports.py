@@ -217,6 +217,33 @@ def test_malformed_contact_line_reports_line_number() -> None:
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    [("12.0000 c3 p4", "expected 4 fields, got 3"), ("12.0000 c3 x4 AC7", "x4")],
+)
+def test_malformed_relay_line_reports_line_number(bad, reason) -> None:
+    lines = ["10.0000 c1 p2 AC7", "", bad]
+    with pytest.raises(ParseError) as err:
+        parse_relay_lines(lines)
+    assert err.value.line_no == 3
+    assert reason in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("12.0000 p4 AC7 3.5000 evicted end", "expected 5 fields, got 6"),
+        ("12.0000 q4 AC7 3.5000 evicted", "q4"),
+    ],
+)
+def test_malformed_residency_line_reports_line_number(bad, reason) -> None:
+    lines = ["", "10.0000 p4 AC6 1.0000 delivered", bad]
+    with pytest.raises(ParseError) as err:
+        parse_residency_lines(lines)
+    assert err.value.line_no == 3
+    assert reason in err.value.reason
+
+
 def test_contact_line_requires_two_decimals() -> None:
     with pytest.raises(ParseError):
         parse_contact_lines(["@0.1 p1 <-> p2 up"])
