@@ -71,7 +71,9 @@ def save_model(
     document = {"model_version": version, **payload}
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    with open(target, "w") as fh:  # streamed: no whole-file string in memory
+        json.dump(document, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     return version
 
 

@@ -5,6 +5,12 @@ vertex, follows the shortest path to it at a per-trip speed, then pauses and
 picks the next waypoint.  Weekday traffic biases waypoints toward a hotspot
 list with probability 0.8; holiday traffic picks uniformly.  The current
 vertex is never picked as the next waypoint.
+
+A Wanderer steps one tick per advance().  A Fleet moves all the walkers of
+a run a block of ticks at a time: the ticks between two events of a walker
+are computed as numpy arrays, and only the events (vertex crossings and
+pause ends) run through advance(), so positions and random draws equal
+those of advancing every walker on every tick.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 WEEKDAY = "weekday"
 HOLIDAY = "holiday"
@@ -29,6 +37,10 @@ class MapGraph:
     coords: list[tuple[float, float]]
     edges: list[tuple[int, int]]  # canonical a < b, no duplicates
     adjacency: list[list[tuple[int, float]]] = field(init=False)
+    # shortest-path tree (predecessor list) per source, filled by shortest_path
+    _trees: dict[int, list[int]] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.coords)
@@ -167,12 +179,32 @@ def load_map(path: str | Path) -> MapGraph:
 
 
 def shortest_path(graph: MapGraph, src: int, dst: int) -> list[int]:
-    """Dijkstra path from src to dst as a vertex list; ties break on vertex id."""
+    """Dijkstra path from src to dst as a vertex list; ties break on vertex id.
+
+    The path is read off src's shortest-path tree, which is built once per
+    (graph, src) and kept on the graph.  A vertex's predecessor is final once
+    Dijkstra pops it, so the full tree gives the same paths as a search that
+    stops at dst.
+    """
     n = graph.vertex_count
     if not (0 <= src < n and 0 <= dst < n):
         raise MapError("path endpoints outside the map")
-    if src == dst:
-        return [src]
+    prev = graph._trees.get(src)
+    if prev is None:
+        prev = graph._trees[src] = _shortest_path_tree(graph, src)
+    if dst != src and prev[dst] < 0:
+        raise MapError(f"no path from {src} to {dst}")
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def _shortest_path_tree(graph: MapGraph, src: int) -> list[int]:
+    """Each vertex's predecessor on its shortest path from src; -1 at src and
+    at vertices src cannot reach."""
+    n = graph.vertex_count
     dist = [math.inf] * n
     prev = [-1] * n
     dist[src] = 0.0
@@ -183,21 +215,13 @@ def shortest_path(graph: MapGraph, src: int, dst: int) -> list[int]:
         if done[v]:
             continue
         done[v] = True
-        if v == dst:
-            break
         for w, length in graph.adjacency[v]:
             nd = d + length
             if nd < dist[w]:
                 dist[w] = nd
                 prev[w] = v
                 heapq.heappush(heap, (nd, w))
-    if not done[dst]:
-        raise MapError(f"no path from {src} to {dst}")
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+    return prev
 
 
 # ------------------------------------------------------------------ waypoints
@@ -320,3 +344,95 @@ class FixedPost:
 
     def advance(self, dt: float) -> None:
         return
+
+
+class Fleet:
+    """The walkers of one run, moved a block of ticks at a time.
+
+    Between two events a walker either glides along its segment or counts
+    its pause down, in both cases by subtracting one fixed step per tick
+    (speed * dt, or dt).  np.subtract.accumulate folds those subtractions
+    left to right, so every count and every position has the bits that
+    Wanderer.advance gives tick by tick.  An event is the tick on which the
+    count would reach zero: a vertex crossing or the end of a pause.  It
+    runs through the walker's own advance(), in (tick, walker) order, so the
+    shared random stream is drawn in the same order as a tick-by-tick walk.
+    A walker's own pos and counters are brought up to date only at its
+    events; between them the fleet's arrays hold its state.
+    """
+
+    def __init__(self, walkers: list[Wanderer], dt: float) -> None:
+        self.walkers = walkers
+        self.dt = dt
+        m = len(walkers)
+        self.left = np.empty(m)  # segment length or pause time still ahead
+        self.step = np.empty(m)  # what one tick takes off left
+        self.seg_len = np.ones(m)
+        self.start = np.empty((m, 2))
+        self.span = np.zeros((m, 2))  # segment end minus start
+        self.paused = np.zeros(m, dtype=bool)
+        for i in range(m):
+            self._load(i)
+
+    def _load(self, i: int) -> None:
+        """Copy walker i's state after an advance() into the arrays."""
+        w = self.walkers[i]
+        paused = self.paused[i] = w.pause_left > 0.0
+        if paused:
+            self.left[i] = w.pause_left
+            self.step[i] = self.dt
+            self.start[i] = w.pos
+        else:
+            self.left[i] = w._seg_left
+            self.step[i] = w.speed * self.dt
+            self.seg_len[i] = w._seg_len
+            (sx, sy), (ex, ey) = w._seg_start, w._seg_end
+            self.start[i] = sx, sy
+            self.span[i] = ex - sx, ey - sy
+
+    def glide(self, out: np.ndarray) -> None:
+        """Move every walker len(out) ticks; out[t, i] is walker i's position
+        after the (t + 1)-th of them."""
+        n = len(out)
+        counts = np.empty((n + 1, len(self.walkers)))
+        counts[0] = self.left
+        counts[1:] = self.step
+        counts = np.subtract.accumulate(counts, axis=0)  # row t + 1: after tick t
+        self.left = counts[n].copy()
+        f = 1.0 - counts[1:] / self.seg_len
+        np.add(self.start, self.span * f[:, :, None], out=out)
+        out[:, self.paused] = self.start[self.paused]
+        # Rows from a walker's first event on hold made-up positions until
+        # that event is run; each event rewrites its walker's rows after it.
+        due = counts[1:] <= 0.0
+        events = []  # (tick, walker, count before that tick)
+        for i in due.any(axis=0).nonzero()[0].tolist():
+            t = int(due[:, i].argmax())
+            events.append((t, i, float(counts[t, i])))
+        heapq.heapify(events)
+        while events:
+            t, i, before = heapq.heappop(events)
+            walker = self.walkers[i]
+            if self.paused[i]:
+                walker.pause_left = before
+            else:
+                walker._seg_left = before
+            walker.advance(self.dt)
+            self._load(i)
+            out[t, i] = walker.pos
+            rest = out[t + 1 :, i]
+            if not len(rest):
+                continue
+            run = np.full(len(rest) + 1, self.step[i])  # run[r]: count after tick t + r
+            run[0] = self.left[i]
+            run = np.subtract.accumulate(run)
+            self.left[i] = run[-1]
+            if self.paused[i]:
+                rest[:] = self.start[i]
+            else:
+                f = 1.0 - run[1:] / self.seg_len[i]
+                np.add(self.start[i], self.span[i] * f[:, None], out=rest)
+            due = run[1:] <= 0.0
+            r = int(due.argmax())
+            if due[r]:
+                heapq.heappush(events, (t + 1 + r, i, float(run[r])))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -69,7 +70,7 @@ def _fields(line: str, count: int) -> list[str]:
     return fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContactEvent:
     time: float  # seconds, non-negative
     a: NodeId
@@ -134,7 +135,15 @@ def parse_contact_line(line: str, line_no: int = 1) -> ContactEvent:
 
 
 def contact_log_lines(events: Iterable[ContactEvent]) -> list[str]:
-    ordered = sorted(events, key=lambda e: (e.time, e.a.sort_key, e.b.sort_key))
+    """The lines in (time, a, b) order, nodes by NodeId.sort_key.
+
+    Two stable sorts, by node pair and then by time, give that order
+    without building a key tuple for every event."""
+    ordered = list(events)
+    nodes = {e.a for e in ordered} | {e.b for e in ordered}
+    rank = {node: k for k, node in enumerate(sorted(nodes, key=attrgetter("sort_key")))}
+    ordered.sort(key=lambda e: rank[e.a] * len(rank) + rank[e.b])
+    ordered.sort(key=attrgetter("time"))
     return [format_contact_event(e) for e in ordered]
 
 
@@ -244,4 +253,5 @@ def parse_residency_lines(lines: Iterable[str]) -> list[ResidencyRecord]:
 
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)

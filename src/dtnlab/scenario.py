@@ -22,6 +22,7 @@ from typing import Any, Callable
 
 from .mobility import (
     REGIMES,
+    MapError,
     MapGraph,
     grid_map,
     load_map,
@@ -123,7 +124,10 @@ class ScenarioSpec:
             raise ConfigurationError("traffic.copies must be at least 1")
         if self.regime not in REGIMES:
             raise ConfigurationError(f"mobility.regime must be one of {REGIMES}")
-        graph = self.build_map()
+        try:
+            graph = self.build_map()
+        except (OSError, MapError) as err:  # a map file missing or malformed
+            raise ConfigurationError(f"map: {err}") from err
         n = graph.vertex_count
         if self.regime == "weekday":
             if not self.hotspots:
@@ -225,15 +229,19 @@ MAP_KINDS: dict[str, tuple[Callable[..., MapGraph], tuple[str, ...]]] = {
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # no interpolation: every value is read as written, a % included
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:  # a duplicated key or section, a bad line
+        raise ConfigurationError(f"{path}: {err}") from err
     if not read:
         raise ConfigurationError(f"cannot read scenario file {path}")
     try:
         spec = _from_parser(parser)
+        spec.validate()
     except ValueError as err:
         raise ConfigurationError(f"{path}: {err}") from err
-    spec.validate()
     return spec
 
 

@@ -5,11 +5,13 @@ splits into independent mobility, traffic, and router streams, so swapping
 the protocol never disturbs the contact process and runs of different
 protocols over the same seed stay comparable.
 
-The contact process comes first: `contact_plan` walks the movers and
-records each tick's link transitions, ordered by node-index pair (i < j,
-row major), together with the contact log they write.  It reads no engine
-state, so every protocol run over one (scenario, seed) replays the same
-plan and hands out the same contact log.  Each tick then advances time by
+The contact process comes first: `contact_plan` moves the walkers a block
+of ticks at a time, measures over each block only the pairs that can be
+linked in it, and records each tick's link transitions, ordered by
+node-index pair (i < j, row major), together with the contact log they
+write.  It reads no engine state, so every protocol run over one (scenario,
+seed) replays the same plan and hands out the same contact log.  The
+engine steps one tick at a time.  Each tick advances time by
 the fixed mobility step and processes, in this order: transfer progress and
 completions, the plan's link down then up transitions, TTL expiry, traffic
 generation, routing decisions, transfer starts.  The engine keeps the keys
@@ -37,11 +39,10 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
-from .mobility import FixedPost, Wanderer
+from .mobility import Fleet, FixedPost, Wanderer
 from .nodes import MOBILE_CLASSES, NodeClass, NodeId
 from .reports import ContactEvent, DeliveryRecord, RelayEvent, ResidencyRecord
 from .routing import (
@@ -132,18 +133,22 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def link_transitions(
-    positions: np.ndarray, range2: float, prev_in_range: np.ndarray
+    positions: np.ndarray,
+    range2: float,
+    prev_in_range: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, int]], list[tuple[int, int]]]:
     """Symmetric threshold links over pairwise distance; returns transitions.
 
     A pair is linked while squared distance is at most range2.  Only the
-    upper-triangle pairs are measured and compared with prev_in_range; the
-    returned N x N matrix is a copy of it updated at the changed pairs, or
-    prev_in_range itself when no pair changed.  Transition pairs come back
-    index-ordered (i < j, row major), which fixes the event order within a
-    tick.
+    given pairs (row, column and flat N x N index, i < j in row-major order;
+    by default every upper-triangle pair) are measured and compared with
+    prev_in_range; the returned N x N matrix is a copy of it updated at the
+    changed pairs, or prev_in_range itself when no pair changed.  Transition
+    pairs come back index-ordered (i < j, row major), which fixes the event
+    order within a tick.
     """
-    rows, cols, flat = _upper_pairs(len(positions))
+    rows, cols, flat = _upper_pairs(len(positions)) if pairs is None else pairs
     x = positions[:, 0]
     y = positions[:, 1]
     dist2 = x.take(rows)
@@ -168,6 +173,14 @@ def link_transitions(
     return in_range, ups, downs
 
 
+# Ticks per block of the contact process.  Positions are held for one block
+# at a time, and a pair is measured over a block only if its nodes can come
+# within range in it.
+BLOCK_TICKS = 100
+# Added to the radio range in the per-block candidate test, against rounding.
+CANDIDATE_SKIN_M = 1e-3
+
+
 @dataclass(frozen=True)
 class ContactPlan:
     """The link transitions of one (scenario, seed), for any protocol to replay:
@@ -183,8 +196,17 @@ class ContactPlan:
 
 
 def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
-    """Walk the movers from the seed's mobility stream tick by tick and
-    record every link transition."""
+    """Walk the movers from the seed's mobility stream and record every link
+    transition.
+
+    Time goes in blocks of BLOCK_TICKS ticks.  The fleet fills one block of
+    positions; a pair is a candidate in the block if it is linked at the
+    block start or if the bounding boxes of its two nodes over the block come
+    within range.  The candidates are measured over the whole block at once,
+    and link_transitions, restricted to them, runs on each tick where one of
+    them changes state.  The transitions are those of a tick-by-tick walk
+    that measures every pair on every tick.
+    """
     graph = spec.validate()
     nodes = spec.roster()
     rng = random.Random(f"{seed}:mobility")
@@ -213,17 +235,46 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
             movers.append(FixedPost(graph, spec.accident_vertex))
         else:
             movers.append(FixedPost(graph, next(hospital_vertices)))
+    # roster() lists the mobile classes first, so the walkers are nodes 0..m-1
+    m = sum(node.node_class in MOBILE_CLASSES for node in nodes)
+    fleet = Fleet(movers[:m], spec.tick_s)
+    block = np.empty((BLOCK_TICKS, len(nodes), 2))
+    block[:, m:] = [mover.pos for mover in movers[m:]]
+    rows, cols, flat = _upper_pairs(len(nodes))
     in_range = np.zeros((len(nodes), len(nodes)), dtype=bool)
     range2 = spec.range_m * spec.range_m
+    reach2 = (spec.range_m + CANDIDATE_SKIN_M) ** 2
     transitions = {}
     events: list[ContactEvent] = []
-    for k in range(1, round(spec.duration_s / spec.tick_s) + 1):
-        for mover in movers:
-            mover.advance(spec.tick_s)
-        coords = chain.from_iterable(mover.pos for mover in movers)
-        positions = np.fromiter(coords, float, 2 * len(movers)).reshape(-1, 2)
-        in_range, ups, downs = link_transitions(positions, range2, in_range)
-        if ups or downs:
+    ticks = round(spec.duration_s / spec.tick_s)
+    for first in range(1, ticks + 1, BLOCK_TICKS):
+        here = block[: min(BLOCK_TICKS, ticks + 1 - first)]
+        fleet.glide(here[:, :m])
+        lo = here.min(axis=0)
+        hi = here.max(axis=0)
+        gap = np.maximum(lo.take(cols, axis=0) - hi.take(rows, axis=0), 0.0)
+        np.maximum(gap, lo.take(rows, axis=0) - hi.take(cols, axis=0), out=gap)
+        gap *= gap
+        near = gap.sum(axis=1) <= reach2
+        near |= in_range.take(flat)
+        cand = near.nonzero()[0]
+        if not len(cand):
+            continue
+        pairs = (rows[cand], cols[cand], flat[cand])
+        x = here[:, :, 0]
+        y = here[:, :, 1]
+        dist2 = x[:, pairs[0]] - x[:, pairs[1]]
+        dist2 *= dist2
+        dy = y[:, pairs[0]] - y[:, pairs[1]]
+        dy *= dy
+        dist2 += dy
+        linked = dist2 <= range2
+        flips = np.empty_like(linked)
+        flips[0] = linked[0] != in_range.take(pairs[2])
+        np.not_equal(linked[1:], linked[:-1], out=flips[1:])
+        for t in flips.any(axis=1).nonzero()[0].tolist():
+            in_range, ups, downs = link_transitions(here[t], range2, in_range, pairs=pairs)
+            k = first + t
             transitions[k] = (downs, ups)
             now = round(round(k * spec.tick_s, 4), 2)
             events += [ContactEvent(now, nodes[i], nodes[j], False) for i, j in downs]

@@ -191,6 +191,34 @@ class TestSimulate:
         assert rc == 2
         assert "radio.rang_m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("kind = grid", "kind = file\npath = none.map", "none.map"),
+            ("kind = grid", "kind = file\npath = bad.map", "cannot parse map line"),
+            ("name = P8_C8", "name = P8_C8\nname = again", "'name'"),
+            ("name = P8_C8", "name = 50%", None),
+        ],
+        ids=["missing_map_file", "malformed_map_file", "duplicated_key", "percent_in_value"],
+    )
+    def test_scenario_file_faults_exit_2_naming_the_file(
+        self, old, new, named, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.map").write_text("V 0 0.0 0.0\nR 0 1\n")
+        text = scenario_ini(DESK)
+        text = text[: text.index("rows =")] + text[text.index("[radio]") :]  # grid keys out
+        (tmp_path / "city.ini").write_text(text.replace(old, new, 1))
+        rc = main(["simulate", "city.ini", "--out", "never"])
+        err = capsys.readouterr().err
+        if named is None:  # a % is plain text, so the spec round-trips
+            assert rc == 0
+            assert load_scenario(tmp_path / "city.ini") == replace(DESK, name="50%")
+            return
+        assert rc == 2
+        assert err.startswith("error: city.ini: ") and named in err
+        assert not (tmp_path / "never").exists()
+
     def test_missing_config_exits_nonzero(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "ghost.ini"), "--out", str(tmp_path / "n")])
         assert rc == 2

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dtnlab.mobility import (
     HOLIDAY,
     WEEKDAY,
+    Fleet,
     FixedPost,
     MapError,
     MapGraph,
@@ -129,6 +132,45 @@ def test_shortest_path_trivial_and_unreachable() -> None:
     assert shortest_path(g, 2, 2) == [2]
     with pytest.raises(MapError):
         shortest_path(g, 0, 3)
+
+
+def _early_exit_dijkstra(graph: MapGraph, src: int, dst: int) -> list[int]:
+    """Uncached Dijkstra that stops when dst is popped; ties break on id."""
+    dist = [math.inf] * graph.vertex_count
+    prev = [-1] * graph.vertex_count
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    done = [False] * graph.vertex_count
+    while heap:
+        d, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        if v == dst:
+            break
+        for w, length in graph.adjacency[v]:
+            if d + length < dist[w]:
+                dist[w] = d + length
+                prev[w] = v
+                heapq.heappush(heap, (d + length, w))
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+@pytest.mark.parametrize(
+    "graph", [grid_map(12, 12, 100.0), random_planar_map(60, 800.0, seed=3)], ids=["grid", "planar"]
+)
+def test_cached_shortest_paths_equal_uncached_dijkstra(graph) -> None:
+    n = graph.vertex_count
+    for src in range(n):
+        for dst in range(n):
+            assert shortest_path(graph, src, dst) == _early_exit_dijkstra(graph, src, dst)
+    assert len(graph._trees) == n
+    path = shortest_path(graph, 0, n - 1)
+    path.append(-5)  # the caller owns the list it gets
+    assert shortest_path(graph, 0, n - 1) == _early_exit_dijkstra(graph, 0, n - 1)
 
 
 # ----------------------------------------------------------------- waypoints
@@ -286,3 +328,34 @@ def test_fixed_post_never_moves() -> None:
     for _ in range(100):
         post.advance(0.1)
     assert post.pos == start
+
+
+def _walkers(graph: MapGraph, seed: int, speed, pause) -> list[Wanderer]:
+    rng = random.Random(seed)
+    return [
+        Wanderer(graph, rng.randrange(graph.vertex_count), speed, pause, HOLIDAY, [], rng)
+        for _ in range(5)
+    ]
+
+
+@pytest.mark.parametrize(
+    "graph, speed, pause",
+    [
+        (grid_map(6, 6, 1.0), (2.5, 2.5), (0.0, 2.0)),  # exact arrivals on vertices
+        (random_planar_map(40, 60.0, seed=1), (80.0, 160.0), (0.0, 0.0)),  # many per tick
+        (grid_map(5, 5, 40.0), (0.5, 3.0), (5.0, 30.0)),  # long glides and pauses
+    ],
+    ids=["exact", "fast", "paused"],
+)
+def test_fleet_positions_equal_advance_on_every_tick(graph, speed, pause) -> None:
+    stepped = _walkers(graph, 9, speed, pause)
+    fleet = Fleet(_walkers(graph, 9, speed, pause), 0.1)
+    # uneven blocks put the boundaries anywhere in a glide or a pause
+    for n in (1, 2, 3, 64, 100, 257, 7, 400, 1):
+        out = np.empty((n, len(stepped), 2))
+        fleet.glide(out)
+        for row in out:
+            for w in stepped:
+                w.advance(0.1)
+            assert row.tolist() == [list(w.pos) for w in stepped]
+    assert [w.vertex for w in fleet.walkers] == [w.vertex for w in stepped]

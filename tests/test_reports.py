@@ -111,6 +111,10 @@ def test_contact_writer_orders_by_time_then_endpoints() -> None:
         _contact(0.10, "p2", "c9", True),
         _contact(1.20, "c3", "c1", False),
         _contact(0.10, "p1", "p5", True),
+        # class prefix first (a < c < h < p), then the index as a number
+        _contact(2.00, "p10", "c1", True),
+        _contact(2.00, "p9", "c1", True),
+        _contact(2.00, "a0", "h1", True),
     ]
     lines = contact_log_lines(events)
     assert lines == [
@@ -118,6 +122,9 @@ def test_contact_writer_orders_by_time_then_endpoints() -> None:
         "@0.10 p2 <-> c9 up",
         "@1.20 c3 <-> c1 down",
         "@1.20 c3 <-> c4 up",
+        "@2.00 a0 <-> h1 up",
+        "@2.00 p9 <-> c1 up",
+        "@2.00 p10 <-> c1 up",
     ]
 
 

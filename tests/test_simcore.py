@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dtnlab.mobility import MapGraph, save_map
+from dtnlab.mobility import FixedPost, MapGraph, Wanderer, save_map
 from dtnlab.nodes import NodeClass, NodeId
 from dtnlab.pipeline import LOG_FILES, write_run
 from dtnlab.reports import (
@@ -648,6 +649,122 @@ class TestContactPlan:
             with pytest.raises(ValueError, match="does not fit"):
                 run_simulation(other, "SprayAndWait", 1, plan=plan)
         assert Simulation(spec, SprayAndWaitRouter(), 1, plan=plan).run().plan is plan
+
+
+def tick_by_tick_plan(spec: ScenarioSpec, seed: int):
+    """The contact process the plan must equal: every walker advanced on
+    every tick, then every pair measured; (transitions, positions per tick)."""
+    graph = spec.validate()
+    nodes = spec.roster()
+    rng = random.Random(f"{seed}:mobility")
+    hospitals = iter(spec.hospital_vertices)
+    walks = {
+        NodeClass.PEDESTRIAN: (spec.pedestrian_speed_ms, spec.pedestrian_pause_s),
+        NodeClass.CAR: (tuple(v / 3.6 for v in spec.car_speed_kmh), spec.car_pause_s),
+    }
+    movers = []
+    for node in nodes:
+        if node.node_class in walks:
+            speed, pause = walks[node.node_class]
+            movers.append(
+                Wanderer(
+                    graph,
+                    rng.randrange(graph.vertex_count),
+                    speed,
+                    pause,
+                    spec.regime,
+                    list(spec.hotspots),
+                    rng,
+                    spec.hotspot_bias,
+                )
+            )
+        elif node.node_class is NodeClass.ACCIDENT:
+            movers.append(FixedPost(graph, spec.accident_vertex))
+        else:
+            movers.append(FixedPost(graph, next(hospitals)))
+    in_range = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    transitions = {}
+    for k in range(1, round(spec.duration_s / spec.tick_s) + 1):
+        for mover in movers:
+            mover.advance(spec.tick_s)
+        positions = np.array([mover.pos for mover in movers])
+        in_range, ups, downs = link_transitions(positions, spec.range_m**2, in_range)
+        if ups or downs:
+            transitions[k] = (downs, ups)
+    return transitions
+
+
+def tiny_grid_spec(**overrides) -> ScenarioSpec:
+    """A 6 x 6 grid of 1 m streets walked at exactly 2.5 m/s: a 0.1 s tick
+    travels 0.25 m, so every fourth tick ends exactly on a vertex."""
+    base = dict(
+        name="tiny_grid",
+        duration_s=60.0,
+        pedestrians=6,
+        cars=0,
+        hospitals=2,
+        map=MapSpec(kind="grid", rows=6, cols=6, spacing_m=1.0),
+        range_m=1.0,  # the fixed posts sit exactly one range apart
+        regime="holiday",
+        hotspots=(),
+        pedestrian_speed_ms=(2.5, 2.5),
+        pedestrian_pause_s=(0.0, 3.0),
+        accident_vertex=0,
+        hospital_vertices=(1, 7),
+    )
+    base.update(overrides)
+    return ScenarioSpec(**base)
+
+
+BLOCK_CASES = {
+    # short edges and fast cars: one tick crosses several vertices
+    "planar_fast_cars": replace(
+        desk_scenario(6, 10, duration_s=120.0, name="fast"),
+        map=MapSpec(kind="random_planar", n_vertices=80, extent_m=80.0, seed=4),
+        hotspots=(1, 2, 3),
+        hospital_vertices=(5, 6),
+        car_speed_kmh=(300.0, 700.0),
+        range_m=10.0,
+    ),
+    "no_pauses": replace(
+        desk_scenario(8, 8, duration_s=300.0), pedestrian_pause_s=(0.0, 0.0)
+    ),
+    "exact_arrivals": tiny_grid_spec(),
+    # pauses of 60-300 s and long glides: block boundaries fall inside both
+    "urban_holiday": with_regime(
+        replace(desk_scenario(12, 12, duration_s=900.0), **URBAN), "holiday"
+    ),
+}
+
+
+class TestBlockContactProcess:
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_plan_equals_the_tick_by_tick_walk(self, name):
+        spec = BLOCK_CASES[name]
+        for seed in (1, 2):
+            assert contact_plan(spec, seed).transitions == tick_by_tick_plan(spec, seed)
+
+    def test_exact_arrivals_and_boundary_distance_are_exercised(self):
+        assert 2.5 * 0.1 == 0.25 and 1.0 - 0.25 - 0.25 - 0.25 == 0.25
+        plan = contact_plan(tiny_grid_spec(), 1)
+        # a0 (vertex 0), h0 (vertex 1) and h1 (vertex 7) stand still; a0-h0 and
+        # h0-h1 are exactly range_m apart, a0-h1 is farther, all from tick 1
+        downs, ups = plan.transitions[1]
+        a0, h0, h1 = 6, 7, 8
+        assert (a0, h0) in ups and (h0, h1) in ups and (a0, h1) not in ups
+        assert all((a0, h0) not in d and (h0, h1) not in d for d, _ in plan.transitions.values())
+
+    def test_contact_plan_memory_stays_one_block(self):
+        spec = desk_scenario(4, 4, duration_s=7200.0)
+        contact_plan(spec, 1)  # warm the per-N pair cache and the imports
+        tracemalloc.start()
+        try:
+            contact_plan(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # positions for the whole run would add about 12.7 MB here
+        assert peak < 3_000_000
 
 
 # ------------------------------------------------------------ decision cache
