@@ -67,19 +67,18 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
         if node.node_class not in MOBILE_CLASSES:
             continue
         own = stats[str(node)]
-        snap = own.snapshot()
         rows.append(
             {
                 "node": str(node),
                 "contact_freq": float(own.contacts),
-                "degree": float(snap.degree),
+                "degree": float(own.degree),
                 "avg_contact_duration": (
                     own.contact_seconds / own.contacts if own.contacts else 0.0
                 ),
-                "avg_hop_count": snap.h_avg,
-                "avg_delivery_time": snap.t_delay,
-                "as_relay_count": float(snap.relayed),
-                "as_destination_count": float(snap.as_dest),
+                "avg_hop_count": own.h_avg,
+                "avg_delivery_time": own.t_delay,
+                "as_relay_count": float(own.relayed_delivered),
+                "as_destination_count": float(own.as_dest),
             }
         )
     return rows

@@ -77,12 +77,6 @@ class ContactEvent:
     b: NodeId
     up: bool  # True for link up, False for down
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("contact event time must be non-negative")
-        if self.a == self.b:
-            raise ValueError("contact endpoints must differ")
-
 
 @dataclass(frozen=True)
 class DeliveryRecord:
@@ -96,18 +90,6 @@ class DeliveryRecord:
     remaining_ttl: int  # whole minutes left at delivery
     is_response: bool
     path: tuple[NodeId, ...]  # source first, destination last
-
-    def __post_init__(self) -> None:
-        if len(self.path) < 2:
-            raise ValueError("path needs at least source and destination")
-        if self.hopcount != len(self.path) - 1:
-            raise ValueError(
-                f"hopcount {self.hopcount} does not match path of {len(self.path)} hosts"
-            )
-        if self.path[0] != self.from_host or self.path[-1] != self.to_host:
-            raise ValueError("path endpoints must match fromHost/toHost")
-        if self.delivery_time > self.time:
-            raise ValueError("delivery delay cannot exceed the delivery timestamp")
 
 
 # ---------------------------------------------------------------- connectivity
@@ -126,12 +108,10 @@ def parse_contact_line(line: str, line_no: int = 1) -> ContactEvent:
     m = _CONTACT_RE.match(line)
     if m is None:
         raise ParseError(line_no, line, "not a connectivity event")
-    return ContactEvent(
-        time=float(m.group("time")),
-        a=NodeId.parse(m.group("a")),
-        b=NodeId.parse(m.group("b")),
-        up=m.group("state") == "up",
-    )
+    a, b = NodeId.parse(m.group("a")), NodeId.parse(m.group("b"))
+    if a == b:
+        raise ParseError(line_no, line, "contact endpoints must differ")
+    return ContactEvent(time=float(m.group("time")), a=a, b=b, up=m.group("state") == "up")
 
 
 def contact_log_lines(events: Iterable[ContactEvent]) -> list[str]:
@@ -184,9 +164,22 @@ def parse_delivery_line(line: str, line_no: int = 2) -> DeliveryRecord:
             is_response=resp_s == "Y",
             path=tuple(NodeId.parse(p) for p in path_s.split("->")),
         )
+        _check_delivery(rec)
     except ValueError as err:
         raise ParseError(line_no, line, str(err)) from err
     return rec
+
+
+def _check_delivery(rec: DeliveryRecord) -> None:
+    """Refuse a parsed record whose fields disagree with each other."""
+    if len(rec.path) < 2:
+        raise ValueError("path needs at least source and destination")
+    if rec.hopcount != len(rec.path) - 1:
+        raise ValueError(f"hopcount {rec.hopcount} does not match path of {len(rec.path)} hosts")
+    if rec.path[0] != rec.from_host or rec.path[-1] != rec.to_host:
+        raise ValueError("path endpoints must match fromHost/toHost")
+    if rec.delivery_time > rec.time:
+        raise ValueError("delivery delay cannot exceed the delivery timestamp")
 
 
 def delivered_log_lines(records: Sequence[DeliveryRecord]) -> list[str]:

@@ -14,15 +14,17 @@ decisions over the sender's buffered replicas:
   decision and counts the event.
 
 Peer statistics travel in the summary-vector handshake.  An observer's view
-of a peer combines its own completed-contact history with the peer counters
-snapshotted at the end of the most recent completed contact, so a never-met
-peer scores zero contact features and falls back to the shipped training
-medians for the two delivery averages.
+of a peer combines its own completed-contact history with the peer's live
+counters, read at the decision point of the current contact: the pairwise
+contact features count only completed contacts with that peer, and a peer
+that has not yet relayed a delivered message falls back to the shipped
+training medians for the two delivery averages.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Protocol
 
@@ -66,17 +68,6 @@ class Predictor(Protocol):
         """Return (label, probability) for one feature mapping."""
 
 
-@dataclass(frozen=True)
-class PeerSnapshot:
-    """A node's self-reported counters as exchanged during the handshake."""
-
-    degree: int
-    relayed: int
-    as_dest: int
-    h_avg: float | None  # None until the node relayed a delivered message
-    t_delay: float | None
-
-
 @dataclass
 class NodeStats:
     """Counters a node maintains about itself while the run progresses.
@@ -97,6 +88,18 @@ class NodeStats:
     def degree(self) -> int:
         return len(self.partners)
 
+    @property
+    def h_avg(self) -> float | None:
+        """Mean hop count of the delivered messages this node relayed; None
+        until it relayed one."""
+        return self.hop_sum / self.relayed_delivered if self.relayed_delivered else None
+
+    @property
+    def t_delay(self) -> float | None:
+        """Mean delay of the delivered messages this node relayed; None until
+        it relayed one."""
+        return self.delay_sum / self.relayed_delivered if self.relayed_delivered else None
+
     def record_contact(self, partner: Hashable, duration: float) -> None:
         self.contacts += 1
         self.partners.add(partner)
@@ -107,21 +110,6 @@ class NodeStats:
         self.hop_sum += hopcount
         self.delay_sum += delay
 
-    def snapshot(self) -> PeerSnapshot:
-        if self.relayed_delivered:
-            h_avg = self.hop_sum / self.relayed_delivered
-            t_delay = self.delay_sum / self.relayed_delivered
-        else:
-            h_avg = None
-            t_delay = None
-        return PeerSnapshot(
-            degree=self.degree,
-            relayed=self.relayed_delivered,
-            as_dest=self.as_dest,
-            h_avg=h_avg,
-            t_delay=t_delay,
-        )
-
 
 @dataclass
 class PeerHistory:
@@ -129,48 +117,40 @@ class PeerHistory:
 
     completed: int = 0
     duration_sum: float = 0.0
-    snapshot: PeerSnapshot | None = None
 
-    def record(self, duration: float, snap: PeerSnapshot) -> None:
+    def record(self, duration: float) -> None:
         self.completed += 1
         self.duration_sum += duration
-        self.snapshot = snap
 
 
 def online_features(
     history: PeerHistory | None,
-    snapshot: PeerSnapshot | None,
+    peer: NodeStats,
     medians: tuple[float, float],
 ) -> RelayQuery:
     """Build the peer's feature vector from local history plus handshake data.
 
-    The peer's self-reported counters arrive in the summary-vector handshake
-    of the current contact, so they are live even on a first meeting.  The
-    two pairwise contact features still require completed contacts with this
+    The peer's own counters arrive in the summary-vector handshake of the
+    current contact, so they are live even on a first meeting.  The two
+    pairwise contact features still require completed contacts with this
     peer.  medians are the shipped training medians for (avg_hop_count,
     avg_delivery_time), used whenever the peer has no delivery record yet.
     """
-    h_med, t_med = medians
     if history is not None and history.completed:
         freq = float(history.completed)
         avg_duration = history.duration_sum / history.completed
     else:
         freq = 0.0
         avg_duration = 0.0
-    if snapshot is None:
-        return RelayQuery(freq, 0.0, avg_duration, float(h_med), float(t_med), 0.0, 0.0)
+    h_avg, t_delay = peer.h_avg, peer.t_delay
     return RelayQuery(
         contact_freq=freq,
-        degree=float(snapshot.degree),
+        degree=float(peer.degree),
         avg_contact_duration=avg_duration,
-        avg_hop_count=(
-            float(snapshot.h_avg) if snapshot.h_avg is not None else float(h_med)
-        ),
-        avg_delivery_time=(
-            float(snapshot.t_delay) if snapshot.t_delay is not None else float(t_med)
-        ),
-        as_relay_count=float(snapshot.relayed),
-        as_destination_count=float(snapshot.as_dest),
+        avg_hop_count=float(medians[0] if h_avg is None else h_avg),
+        avg_delivery_time=float(medians[1] if t_delay is None else t_delay),
+        as_relay_count=float(peer.relayed_delivered),
+        as_destination_count=float(peer.as_dest),
     )
 
 
@@ -227,10 +207,21 @@ class DecisionCache:
 
 
 @dataclass(frozen=True)
-class ReplicaView:
-    message_id: str
-    destination: NodeId
+class Message:
+    id: str
+    size: int  # bytes
+    source: NodeId
+    dest: NodeId
+    created_at: float
+    ttl_s: float
+
+
+@dataclass
+class Replica:
+    message: Message
     copies: int
+    arrived_at: float
+    path: tuple[NodeId, ...]  # source first, current holder last
 
 
 @dataclass(frozen=True)
@@ -245,9 +236,9 @@ class Encounter:
 
     now: float
     peer_id: NodeId
-    replicas: list[ReplicaView]  # undecided replicas in buffer order
-    peer_has: frozenset[str]
-    peer_delivered: frozenset[str]
+    replicas: list[Replica]  # the sender's undecided replicas, in buffer order
+    peer_has: Container[str]  # message ids in the peer's buffer
+    peer_delivered: Container[str]  # message ids delivered to the peer
     peer_relays: bool  # peer class may carry foreign messages
     peer_query: Callable[[], RelayQuery]
 
@@ -258,20 +249,20 @@ class Router:
     def on_contact(self, enc: Encounter) -> list[Action]:
         raise NotImplementedError
 
-    def _offerable(self, enc: Encounter) -> list[ReplicaView]:
+    def _offerable(self, enc: Encounter) -> list[Replica]:
         return [
             r
             for r in enc.replicas
-            if r.message_id not in enc.peer_has
-            and r.message_id not in enc.peer_delivered
+            if r.message.id not in enc.peer_has
+            and r.message.id not in enc.peer_delivered
         ]
 
     @staticmethod
     def _dest_first(
-        enc: Encounter, replicas: list[ReplicaView]
-    ) -> tuple[list[ReplicaView], list[ReplicaView]]:
-        to_dest = [r for r in replicas if r.destination == enc.peer_id]
-        rest = [r for r in replicas if r.destination != enc.peer_id]
+        enc: Encounter, replicas: list[Replica]
+    ) -> tuple[list[Replica], list[Replica]]:
+        to_dest = [r for r in replicas if r.message.dest == enc.peer_id]
+        rest = [r for r in replicas if r.message.dest != enc.peer_id]
         return to_dest, rest
 
 
@@ -282,9 +273,9 @@ class EpidemicRouter(Router):
 
     def on_contact(self, enc: Encounter) -> list[Action]:
         to_dest, rest = self._dest_first(enc, self._offerable(enc))
-        actions = [Action(r.message_id, DELIVER) for r in to_dest]
+        actions = [Action(r.message.id, DELIVER) for r in to_dest]
         if enc.peer_relays:
-            actions += [Action(r.message_id, COPY) for r in rest]
+            actions += [Action(r.message.id, COPY) for r in rest]
         return actions
 
 
@@ -293,19 +284,19 @@ class SprayAndWaitRouter(Router):
 
     name = "SprayAndWait"
 
-    def relay_gate(self, enc: Encounter, eligible: list[ReplicaView]) -> bool:
+    def relay_gate(self, enc: Encounter, eligible: list[Replica]) -> bool:
         return True
 
-    def per_message_gate(self, enc: Encounter, replica: ReplicaView) -> bool:
+    def per_message_gate(self, enc: Encounter, replica: Replica) -> bool:
         return True
 
     def on_contact(self, enc: Encounter) -> list[Action]:
         to_dest, rest = self._dest_first(enc, self._offerable(enc))
-        actions = [Action(r.message_id, DELIVER) for r in to_dest]
+        actions = [Action(r.message.id, DELIVER) for r in to_dest]
         eligible = [r for r in rest if r.copies > 1] if enc.peer_relays else []
         if eligible and self.relay_gate(enc, eligible):
             actions += [
-                Action(r.message_id, SPLIT)
+                Action(r.message.id, SPLIT)
                 for r in eligible
                 if self.per_message_gate(enc, r)
             ]
@@ -320,7 +311,7 @@ class RandomRouter(SprayAndWaitRouter):
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
 
-    def per_message_gate(self, enc: Encounter, replica: ReplicaView) -> bool:
+    def per_message_gate(self, enc: Encounter, replica: Replica) -> bool:
         return self.rng.random() < 0.5
 
 
@@ -345,7 +336,7 @@ class MlGatedRouter(SprayAndWaitRouter):
         self.eligible_encounters = 0  # decision points that needed a prediction
         self.fallbacks = 0  # of those, how many fell back to plain spray
 
-    def relay_gate(self, enc: Encounter, eligible: list[ReplicaView]) -> bool:
+    def relay_gate(self, enc: Encounter, eligible: list[Replica]) -> bool:
         query = enc.peer_query()
         cached = self.cache.get(enc.peer_id, query, enc.now)
         if cached is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable
@@ -75,8 +76,14 @@ class ScenarioSpec:
     destinations: tuple[str, ...] = ()  # empty means every hospital
 
     def build_map(self) -> MapGraph:
+        """The map graph.  A generated map is built once per kind and
+        arguments and shared, with the shortest-path trees cached on it; a
+        map file is read afresh on every call."""
         builder, fields = _map_kind(self.map.kind)
-        return builder(*(getattr(self.map, f) for f in fields))
+        args = tuple(getattr(self.map, f) for f in fields)
+        if builder is load_map:
+            return builder(*args)
+        return _generated_map(builder, args)
 
     def roster(self) -> list[NodeId]:
         """Fixed node ordering: pedestrians, cars, accident, hospitals."""
@@ -226,6 +233,11 @@ MAP_KINDS: dict[str, tuple[Callable[..., MapGraph], tuple[str, ...]]] = {
     "random_planar": (random_planar_map, ("n_vertices", "extent_m", "seed")),
     "file": (load_map, ("path",)),
 }
+
+
+@lru_cache(maxsize=8)
+def _generated_map(builder: Callable[..., MapGraph], args: tuple) -> MapGraph:
+    return builder(*args)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

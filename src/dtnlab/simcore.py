@@ -51,35 +51,18 @@ from .routing import (
     Action,
     Encounter,
     EpidemicRouter,
+    Message,
     MlGatedRouter,
     NodeStats,
     PeerHistory,
     Predictor,
     RandomRouter,
-    ReplicaView,
+    Replica,
     Router,
     SprayAndWaitRouter,
     online_features,
 )
 from .scenario import ScenarioSpec
-
-
-@dataclass(frozen=True)
-class Message:
-    id: str
-    size: int  # bytes
-    source: NodeId
-    dest: NodeId
-    created_at: float
-    ttl_s: float
-
-
-@dataclass
-class Replica:
-    message: Message
-    copies: int
-    arrived_at: float
-    path: tuple[NodeId, ...]  # source first, current holder last
 
 
 class TrafficSource:
@@ -491,16 +474,10 @@ class Simulation:
         self._record_contact_end(i, j, duration)
 
     def _record_contact_end(self, i: int, j: int, duration: float) -> None:
-        # both sides update their own counters first, then exchange snapshots,
-        # so a handshake snapshot includes the contact that just ended
         self.stats[i].record_contact(j, duration)
         self.stats[j].record_contact(i, duration)
-        self.history[i].setdefault(j, PeerHistory()).record(
-            duration, self.stats[j].snapshot()
-        )
-        self.history[j].setdefault(i, PeerHistory()).record(
-            duration, self.stats[i].snapshot()
-        )
+        self.history[i].setdefault(j, PeerHistory()).record(duration)
+        self.history[j].setdefault(i, PeerHistory()).record(duration)
 
     def _release(self, session: LinkSession) -> None:
         """Detach the session's transfer, finished or aborted; frees both nodes."""
@@ -586,11 +563,12 @@ class Simulation:
         self, session: LinkSession, i: int, j: int, sender: int, now: float
     ) -> None:
         receiver = j if sender == i else i
-        offered = [
-            ReplicaView(mid, rep.message.dest, rep.copies)
+        decided = session.decided
+        offered = {
+            mid: rep
             for mid, rep in self.buffers[sender].entries.items()
-            if (sender, mid) not in session.decided
-        ]
+            if (sender, mid) not in decided
+        }
         if not offered:
             return
         hist = self.history[sender].get(receiver)
@@ -599,19 +577,17 @@ class Simulation:
         enc = Encounter(
             now=now,
             peer_id=self.nodes[receiver],
-            replicas=offered,
-            peer_has=frozenset(self.buffers[receiver].entries),
-            peer_delivered=frozenset(self.delivered[receiver]),
+            replicas=list(offered.values()),
+            peer_has=self.buffers[receiver].entries,
+            peer_delivered=self.delivered[receiver],
             peer_relays=self.relay_eligible[receiver],
             # counters handed over in the current contact's handshake
-            peer_query=lambda: online_features(hist, peer_stats.snapshot(), medians),
+            peer_query=lambda: online_features(hist, peer_stats, medians),
         )
         actions = self.router.on_contact(enc)
-        offered_ids = {r.message_id for r in offered}
-        for view in offered:
-            session.decided.add((sender, view.message_id))
+        decided.update((sender, mid) for mid in offered)
         for action in actions:
-            if action.message_id not in offered_ids:
+            if action.message_id not in offered:
                 continue
             session.queue.append((sender, receiver, action))
             self._queued.add((i, j))

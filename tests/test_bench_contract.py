@@ -62,6 +62,29 @@ def test_tracer_after_hooks_count_a_traced_run(bench_modules, tmp_path):
     assert t.counts["write_run_bytes"] > 0
 
 
+class AcceptsBusyPeers:
+    def decide(self, features):
+        return int(features["degree"] > 1.0), 0.5
+
+
+def test_tracer_counts_the_gate_of_a_traced_run(bench_modules):
+    from dtnlab import simcore
+    from dtnlab.scenario import desk_scenario
+
+    _, tracer = bench_modules
+    spec = desk_scenario(10, 10, duration_s=900.0)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        simcore.run_simulation(spec, "MLPBasedRouter", 1, predictor=AcceptsBusyPeers())
+    finally:
+        t.uninstall()
+    assert t.ncalls("routing.gate") > 0
+    # the features are built inside the gate, through simcore's own global
+    assert t.ncalls("routing.online_features", "routing.gate") > 0
+    assert t.counts["cache_hits"] + t.counts["cache_misses"] > 0
+
+
 def test_loop_uses_only_names_the_package_has(bench_modules):
     loop, _ = bench_modules
     tree = ast.parse((BENCH / "loop.py").read_text())

@@ -166,17 +166,17 @@ class TestExtraction:
         for node, own in zip(sim.nodes, sim.stats):
             if str(node) not in rows:
                 continue
-            row, snap = rows[str(node)], own.snapshot()
+            row = rows[str(node)]
             assert row["contact_freq"] == own.contacts
-            assert row["degree"] == snap.degree
-            assert row["as_relay_count"] == snap.relayed
-            assert row["as_destination_count"] == snap.as_dest
+            assert row["degree"] == own.degree
+            assert row["as_relay_count"] == own.relayed_delivered
+            assert row["as_destination_count"] == own.as_dest
             # links that drop in one tick are added in index order online
             # and in name order offline, and the log rounds their times
             expect = own.contact_seconds / own.contacts if own.contacts else 0.0
             assert row["avg_contact_duration"] == pytest.approx(expect)
-            assert row["avg_hop_count"] == pytest.approx(snap.h_avg)
-            assert row["avg_delivery_time"] == pytest.approx(snap.t_delay)
+            assert row["avg_hop_count"] == pytest.approx(own.h_avg)
+            assert row["avg_delivery_time"] == pytest.approx(own.t_delay)
 
 
 class TestMinMaxNormalizer:

@@ -276,16 +276,16 @@ def test_delivered_rejects_delay_exceeding_timestamp() -> None:
 
 
 def test_record_validation_direct() -> None:
-    with pytest.raises(ValueError):
-        DeliveryRecord(
-            time=10.0,
-            message_id="AC1",
-            size=1,
-            hopcount=1,
-            delivery_time=1.0,
-            from_host=NodeId.parse("a0"),
-            to_host=NodeId.parse("h0"),
-            remaining_ttl=1,
-            is_response=False,
-            path=(NodeId.parse("a0"), NodeId.parse("h1")),  # endpoint mismatch
-        )
+    # path a0->h1 does not end at toHost h0
+    bad = DELIVERED_HEADER + "\n" + "10.0000 AC1 1 1 1.0000 a0 h0 1 N a0->h1"
+    with pytest.raises(ParseError) as err:
+        parse_delivered_lines(bad.splitlines())
+    assert err.value.line_no == 2
+    assert "endpoints" in err.value.reason
+
+
+def test_contact_line_refuses_a_node_linked_to_itself() -> None:
+    with pytest.raises(ParseError) as err:
+        parse_contact_lines(["@1.00 p1 <-> p2 up", "@2.00 p3 <-> p03 up"])
+    assert err.value.line_no == 2
+    assert "differ" in err.value.reason

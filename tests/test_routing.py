@@ -16,13 +16,14 @@ from dtnlab.routing import (
     DecisionCache,
     Encounter,
     EpidemicRouter,
+    Message,
     MlGatedRouter,
     NodeStats,
     PeerHistory,
     PredictorUnavailableError,
     RandomRouter,
     RelayQuery,
-    ReplicaView,
+    Replica,
     SprayAndWaitRouter,
     online_features,
 )
@@ -31,6 +32,12 @@ P1 = NodeId.parse("p1")
 C0 = NodeId.parse("c0")
 H0 = NodeId.parse("h0")
 H1 = NodeId.parse("h1")
+A0 = NodeId.parse("a0")
+
+
+def replica(mid: str, dest: NodeId, copies: int) -> Replica:
+    message = Message(mid, 1000, A0, dest, created_at=0.0, ttl_s=600.0)
+    return Replica(message, copies, arrived_at=0.0, path=(A0,))
 
 
 def query(**overrides) -> RelayQuery:
@@ -87,39 +94,39 @@ class DownPredictor:
 class TestSprayAndWait:
     def test_splits_while_copies_remain(self):
         router = SprayAndWaitRouter()
-        enc = encounter([ReplicaView("AC0", H0, copies=8)])
+        enc = encounter([replica("AC0", H0, copies=8)])
         assert router.on_contact(enc) == [Action("AC0", SPLIT)]
 
     def test_wait_phase_holds_single_copy(self):
         router = SprayAndWaitRouter()
-        enc = encounter([ReplicaView("AC0", H0, copies=1)])
+        enc = encounter([replica("AC0", H0, copies=1)])
         assert router.on_contact(enc) == []
 
     def test_wait_phase_still_delivers_to_destination(self):
         router = SprayAndWaitRouter()
-        enc = encounter([ReplicaView("AC0", H0, copies=1)], peer=H0)
+        enc = encounter([replica("AC0", H0, copies=1)], peer=H0)
         actions = router.on_contact(enc)
         assert [(a.message_id, a.kind) for a in actions] == [("AC0", DELIVER)]
 
     def test_delivery_ignores_peer_relay_flag(self):
         # hospitals never relay but always accept their own traffic
         router = SprayAndWaitRouter()
-        enc = encounter([ReplicaView("AC0", H0, copies=4)], peer=H0, peer_relays=False)
+        enc = encounter([replica("AC0", H0, copies=4)], peer=H0, peer_relays=False)
         actions = router.on_contact(enc)
         assert [(a.message_id, a.kind) for a in actions] == [("AC0", DELIVER)]
 
     def test_no_split_toward_non_relaying_peer(self):
         router = SprayAndWaitRouter()
-        enc = encounter([ReplicaView("AC0", H0, copies=4)], peer=H1, peer_relays=False)
+        enc = encounter([replica("AC0", H0, copies=4)], peer=H1, peer_relays=False)
         assert router.on_contact(enc) == []
 
     def test_peer_holdings_and_deliveries_are_skipped(self):
         router = SprayAndWaitRouter()
         enc = encounter(
             [
-                ReplicaView("AC0", H0, copies=4),
-                ReplicaView("AC1", H0, copies=4),
-                ReplicaView("AC2", H0, copies=4),
+                replica("AC0", H0, copies=4),
+                replica("AC1", H0, copies=4),
+                replica("AC2", H0, copies=4),
             ],
             peer_has={"AC0"},
             peer_delivered={"AC1"},
@@ -130,7 +137,7 @@ class TestSprayAndWait:
     def test_deliveries_queue_ahead_of_splits(self):
         router = SprayAndWaitRouter()
         enc = encounter(
-            [ReplicaView("AC0", H1, copies=4), ReplicaView("AC1", H0, copies=4)],
+            [replica("AC0", H1, copies=4), replica("AC1", H0, copies=4)],
             peer=H0,
         )
         # h0 relays nothing in practice, but the ordering contract is the
@@ -145,9 +152,9 @@ class TestSprayAndWait:
         router = SprayAndWaitRouter()
         enc = encounter(
             [
-                ReplicaView("AC0", H0, copies=1),
-                ReplicaView("AC1", H0, copies=2),
-                ReplicaView("AC2", H1, copies=10),
+                replica("AC0", H0, copies=1),
+                replica("AC1", H0, copies=2),
+                replica("AC2", H1, copies=10),
             ]
         )
         actions = router.on_contact(enc)
@@ -162,8 +169,8 @@ class TestEpidemic:
         router = EpidemicRouter()
         enc = encounter(
             [
-                ReplicaView("AC0", H0, copies=1),
-                ReplicaView("AC1", H0, copies=1),
+                replica("AC0", H0, copies=1),
+                replica("AC1", H0, copies=1),
             ],
             peer_has={"AC1"},
         )
@@ -173,13 +180,13 @@ class TestEpidemic:
     def test_single_copy_is_no_obstacle(self):
         # epidemic has no budget; the copies field is just along for the ride
         router = EpidemicRouter()
-        enc = encounter([ReplicaView("AC0", H0, copies=1)])
+        enc = encounter([replica("AC0", H0, copies=1)])
         assert [a.kind for a in router.on_contact(enc)] == [COPY]
 
     def test_delivers_first(self):
         router = EpidemicRouter()
         enc = encounter(
-            [ReplicaView("AC0", H1, copies=1), ReplicaView("AC1", H0, copies=1)],
+            [replica("AC0", H1, copies=1), replica("AC1", H0, copies=1)],
             peer=H0,
         )
         actions = router.on_contact(enc)
@@ -195,7 +202,7 @@ class TestRandomRouter:
         forwarded = 0
         trials = 10_000
         for _ in range(trials):
-            enc = encounter([ReplicaView("AC0", H0, copies=4)])
+            enc = encounter([replica("AC0", H0, copies=4)])
             forwarded += len(router.on_contact(enc))
         assert 0.48 <= forwarded / trials <= 0.52
 
@@ -204,7 +211,7 @@ class TestRandomRouter:
         sizes = set()
         for _ in range(200):
             enc = encounter(
-                [ReplicaView("AC0", H0, copies=4), ReplicaView("AC1", H0, copies=4)]
+                [replica("AC0", H0, copies=4), replica("AC1", H0, copies=4)]
             )
             sizes.add(len(router.on_contact(enc)))
         # independent coins produce 0, 1, and 2 forwards across 200 tries
@@ -213,7 +220,7 @@ class TestRandomRouter:
     def test_delivery_is_never_subject_to_the_coin(self):
         router = RandomRouter(random.Random("13:router"))
         for _ in range(50):
-            enc = encounter([ReplicaView("AC0", H0, copies=1)], peer=H0)
+            enc = encounter([replica("AC0", H0, copies=1)], peer=H0)
             assert [a.kind for a in router.on_contact(enc)] == [DELIVER]
 
 
@@ -226,7 +233,7 @@ class TestMlGatedRouter:
         out = []
         for k in range(n):
             replicas = [
-                ReplicaView(
+                replica(
                     f"AC{k}_{m}",
                     rng.choice([H0, H1]),
                     copies=rng.choice([1, 2, 4, 10]),
@@ -239,7 +246,7 @@ class TestMlGatedRouter:
                     replicas,
                     peer=peer,
                     peer_relays=peer is not H0,
-                    peer_has={r.message_id for r in replicas if rng.random() < 0.2},
+                    peer_has={r.message.id for r in replicas if rng.random() < 0.2},
                     now=float(k),
                     peer_query=lambda k=k: query(contact_freq=float(k)),
                 )
@@ -254,9 +261,9 @@ class TestMlGatedRouter:
 
     def test_always_no_predictor_reduces_to_direct_delivery(self):
         router = MlGatedRouter(ConstantPredictor(0))
-        enc = encounter([ReplicaView("AC0", H0, copies=8)])
+        enc = encounter([replica("AC0", H0, copies=8)])
         assert router.on_contact(enc) == []
-        enc = encounter([ReplicaView("AC0", H0, copies=8)], peer=H0)
+        enc = encounter([replica("AC0", H0, copies=8)], peer=H0)
         assert [a.kind for a in router.on_contact(enc)] == [DELIVER]
 
     def test_gate_judges_the_peer_not_the_message(self):
@@ -266,8 +273,8 @@ class TestMlGatedRouter:
 
         router = MlGatedRouter(DegreeGate())
         replicas = [
-            ReplicaView("AC0", H0, copies=4),
-            ReplicaView("AC1", H1, copies=4),
+            replica("AC0", H0, copies=4),
+            replica("AC1", H1, copies=4),
         ]
         busy = encounter(replicas, peer_query=lambda: query(degree=5.0))
         quiet = encounter(
@@ -282,7 +289,7 @@ class TestMlGatedRouter:
 
         router = MlGatedRouter(ConstantPredictor(1))
         enc = encounter(
-            [ReplicaView("AC0", H0, copies=1)], peer=H0, peer_query=explode
+            [replica("AC0", H0, copies=1)], peer=H0, peer_query=explode
         )
         assert [a.kind for a in router.on_contact(enc)] == [DELIVER]
         assert router.predictor.calls == []
@@ -304,10 +311,10 @@ class TestMlGatedRouter:
         router = MlGatedRouter(predictor)
         features = lambda: query(degree=2.0)
         enc1 = encounter(
-            [ReplicaView("AC0", H0, copies=4)], now=10.0, peer_query=features
+            [replica("AC0", H0, copies=4)], now=10.0, peer_query=features
         )
         enc2 = encounter(
-            [ReplicaView("AC1", H0, copies=4)], now=20.0, peer_query=features
+            [replica("AC1", H0, copies=4)], now=20.0, peer_query=features
         )
         router.on_contact(enc1)
         router.on_contact(enc2)
@@ -319,7 +326,7 @@ class TestMlGatedRouter:
         router = MlGatedRouter(predictor, cache=DecisionCache(ttl_s=300.0))
         features = lambda: query(degree=2.0)
         make = lambda now: encounter(
-            [ReplicaView("AC0", H0, copies=4)], now=now, peer_query=features
+            [replica("AC0", H0, copies=4)], now=now, peer_query=features
         )
         router.on_contact(make(10.0))
         router.on_contact(make(310.0))  # exactly ttl old; still fresh
@@ -332,10 +339,10 @@ class TestMlGatedRouter:
         router = MlGatedRouter(predictor)
         features = lambda: query(degree=2.0)
         router.on_contact(
-            encounter([ReplicaView("AC0", H0, 4)], peer=C0, peer_query=features)
+            encounter([replica("AC0", H0, 4)], peer=C0, peer_query=features)
         )
         router.on_contact(
-            encounter([ReplicaView("AC0", H0, 4)], peer=P1, peer_query=features)
+            encounter([replica("AC0", H0, 4)], peer=P1, peer_query=features)
         )
         assert len(predictor.calls) == 2
 
@@ -380,7 +387,7 @@ class TestDecisionCache:
 
 class TestOnlineFeatures:
     def test_never_met_peer_scores_zero_with_median_fallbacks(self):
-        q = online_features(None, None, medians=(2.5, 1400.0))
+        q = online_features(None, NodeStats(), medians=(2.5, 1400.0))
         assert q.as_dict() == {
             "contact_freq": 0.0,
             "degree": 0.0,
@@ -399,9 +406,9 @@ class TestOnlineFeatures:
         stats.record_relayed_delivery(2, 800.0)
         stats.as_dest = 1
         history = PeerHistory()
-        history.record(10.0, stats.snapshot())
-        history.record(20.0, stats.snapshot())
-        q = online_features(history, stats.snapshot(), medians=(0.0, 0.0))
+        history.record(10.0)
+        history.record(20.0)
+        q = online_features(history, stats, medians=(0.0, 0.0))
         assert q.contact_freq == 2.0
         assert q.avg_contact_duration == 15.0
         assert q.degree == 2.0
@@ -417,7 +424,7 @@ class TestOnlineFeatures:
         stats.record_contact(3, 50.0)
         stats.record_contact(5, 10.0)
         stats.record_relayed_delivery(4, 1200.0)
-        q = online_features(None, stats.snapshot(), medians=(9.0, 9.0))
+        q = online_features(None, stats, medians=(9.0, 9.0))
         assert q.contact_freq == 0.0
         assert q.avg_contact_duration == 0.0
         assert q.degree == 2.0
@@ -429,8 +436,8 @@ class TestOnlineFeatures:
         stats = NodeStats()
         stats.record_contact(9, 30.0)
         history = PeerHistory()
-        history.record(30.0, stats.snapshot())
-        q = online_features(history, stats.snapshot(), medians=(3.0, 1500.0))
+        history.record(30.0)
+        q = online_features(history, stats, medians=(3.0, 1500.0))
         assert q.avg_hop_count == 3.0
         assert q.avg_delivery_time == 1500.0
         assert q.contact_freq == 1.0
@@ -449,13 +456,11 @@ class TestNodeStats:
         assert stats.degree == 3
         assert stats.contacts == 5
 
-    def test_snapshot_averages_delivered_relays(self):
+    def test_delivery_averages_of_relayed_messages(self):
         stats = NodeStats()
-        snap = stats.snapshot()
-        assert snap.h_avg is None and snap.t_delay is None
+        assert stats.h_avg is None and stats.t_delay is None
         stats.record_relayed_delivery(5, 1780.1)
         stats.record_relayed_delivery(3, 219.9)
-        snap = stats.snapshot()
-        assert snap.h_avg == 4.0
-        assert snap.t_delay == pytest.approx(1000.0)
-        assert snap.relayed == 2
+        assert stats.h_avg == 4.0
+        assert stats.t_delay == pytest.approx(1000.0)
+        assert stats.relayed_delivered == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -21,17 +22,18 @@ from dtnlab.reports import (
     residency_log_lines,
 )
 from dtnlab.routing import (
+    FEATURE_NAMES,
     SPLIT,
     DecisionCache,
+    Message,
     MlGatedRouter,
     PredictorUnavailableError,
+    Replica,
     SprayAndWaitRouter,
 )
 from dtnlab.scenario import MapSpec, ScenarioSpec, desk_scenario, with_regime
 from dtnlab.simcore import (
-    Message,
     NodeBuffer,
-    Replica,
     Simulation,
     TrafficSource,
     Transfer,
@@ -581,28 +583,60 @@ GOLDEN_LOGS = {
         "relay.txt": "516cb1a6e229b4981921fd38204e58545de0f124c08ee5f333de92ceefab7af0",
         "buffer.txt": "5d8c6c91d65bbd3974e86d06a6ec8cf1c71d5fa81f6172cf0c10b067fc47b0d0",
     },
+    # the relay gate over 1800 s with the median fallback of (3.0, 250.0):
+    # 133 predictions, 100 of them for peers without a delivery record
+    "urban_P12_C12_gate": {
+        "connectivity.txt": "9e52a1742c564da8ce7374404807ebee2369dc1d6defe9b6e3eabd78be2efced",
+        "delivered.txt": "3bfc39db81c682d972d014d33a4594b89854093a82cd5a0f346427d192babac7",
+        "relay.txt": "073c0a87188f5724137264a104936efd7284b8688514690dde92eb584daa5ac4",
+        "buffer.txt": "7838de7cf8d3e7dd324aaa12a850ce11b3133e9ebf3fdbff53edd6d373c6672e",
+    },
 }
+# sha256 of the JSON list of feature mappings the gate case's predictor got
+GOLDEN_GATE_FEATURES = "6f3a8cb37fc7430aa7255a36a00823041e10d52f0640a9b5ad632ada1f19c466"
 
 
-def golden_case(name: str) -> tuple[ScenarioSpec, str]:
+class AllSevenFeatures:
+    """Stub predictor whose label turns on every one of the seven features;
+    it keeps the feature mappings it is asked about, in order."""
+
+    WEIGHTS = (1.0, 2.0, 0.05, 3.0, 0.01, 5.0, 7.0)
+
+    def __init__(self) -> None:
+        self.seen: list[dict[str, float]] = []
+
+    def decide(self, features):
+        self.seen.append(dict(features))
+        score = sum(w * features[name] for w, name in zip(self.WEIGHTS, FEATURE_NAMES))
+        return int(math.floor(score) % 3 != 0), 0.5
+
+
+def golden_case(name: str) -> tuple[ScenarioSpec, str, dict]:
+    """The scenario, router and run_simulation keywords of a golden case."""
     if name == "desk_P90_C80_epidemic":
-        return desk_scenario(90, 80, duration_s=60.0), "Epidemic"
+        return desk_scenario(90, 80, duration_s=60.0), "Epidemic", {}
     urban = with_regime(replace(desk_scenario(12, 12, duration_s=600.0), **URBAN), "weekday")
     if name == "urban_P12_C12_epidemic_pressure":
-        return replace(urban, ttl_s=300.0, buffer_bytes=600_000), "Epidemic"
-    return urban, "SprayAndWait"
+        return replace(urban, ttl_s=300.0, buffer_bytes=600_000), "Epidemic", {}
+    if name == "urban_P12_C12_gate":
+        gated = {"predictor": AllSevenFeatures(), "feature_medians": (3.0, 250.0)}
+        return replace(urban, duration_s=1800.0), "MLPBasedRouter", gated
+    return urban, "SprayAndWait", {}
 
 
 class TestGoldenLogs:
     @pytest.mark.parametrize("name", sorted(GOLDEN_LOGS))
     def test_log_files_are_byte_identical(self, tmp_path, name):
-        spec, router = golden_case(name)
-        write_run(tmp_path, run_simulation(spec, router, seed=5), spec)
+        spec, router, kwargs = golden_case(name)
+        write_run(tmp_path, run_simulation(spec, router, seed=5, **kwargs), spec)
         digests = {
             fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
             for fname in LOG_FILES.values()
         }
         assert digests == GOLDEN_LOGS[name]
+        if "predictor" in kwargs:
+            seen = json.dumps(kwargs["predictor"].seen).encode()
+            assert hashlib.sha256(seen).hexdigest() == GOLDEN_GATE_FEATURES
 
 
 # -------------------------------------------------------------- contact plan
@@ -649,6 +683,19 @@ class TestContactPlan:
             with pytest.raises(ValueError, match="does not fit"):
                 run_simulation(other, "SprayAndWait", 1, plan=plan)
         assert Simulation(spec, SprayAndWaitRouter(), 1, plan=plan).run().plan is plan
+
+    def test_plans_share_the_built_map_of_a_generated_kind(self, tmp_path):
+        spec = replace(desk_scenario(12, 12, duration_s=600.0), **URBAN)
+        graph = spec.validate()
+        assert with_regime(spec, "holiday").validate() is graph
+        graph._trees.clear()
+        contact_plan(spec, 1)
+        assert graph._trees  # the plan's walkers routed over this very graph
+        # a map file is read on every call, so an edit to it is seen
+        moved = static_pair_spec(tmp_path, 10.0)
+        assert moved.validate().coords[1] == (10.0, 0.0)
+        write_map(tmp_path, [(0.0, 0.0), (20.0, 0.0)], [(0, 1)])
+        assert moved.validate().coords[1] == (20.0, 0.0)
 
 
 def tick_by_tick_plan(spec: ScenarioSpec, seed: int):
