@@ -144,6 +144,8 @@ def cmd_sweep(args) -> int:
         )
         seeds = tuple(range(1, 6))
     else:
+        if args.seeds < 1:
+            raise ConfigurationError(f"--seeds must be at least 1, got {args.seeds}")
         duration = args.duration
         scenarios = _parse_scenario_names(args.scenarios, duration)
         seeds = tuple(range(1, args.seeds + 1))

@@ -78,27 +78,6 @@ def gradients(params: Params, X: np.ndarray, y: np.ndarray) -> Params:
     return grads
 
 
-def numeric_gradients(params: Params, X, y, eps: float = 1e-5) -> Params:
-    """Central-difference loss gradients, for checking the backprop."""
-    grads = []
-    for li, (W, b) in enumerate(params):
-        dW = np.zeros_like(W)
-        db = np.zeros_like(b)
-        for arr, darr in ((W, dW), (b, db)):
-            flat = arr.ravel()
-            dflat = darr.ravel()
-            for k in range(flat.size):
-                keep = flat[k]
-                flat[k] = keep + eps
-                hi = bce_with_logits(predict_logits(params, X), y)
-                flat[k] = keep - eps
-                lo = bce_with_logits(predict_logits(params, X), y)
-                flat[k] = keep
-                dflat[k] = (hi - lo) / (2.0 * eps)
-        grads.append((dW, db))
-    return grads
-
-
 class MlpClassifier:
     """Estimator-style wrapper: fit, predict_proba, predict, get_params.
 

@@ -230,8 +230,6 @@ def load_predictor(
     """Predictor plus feature medians for the gated router, from a model file."""
     if not model_path:
         raise ConfigurationError("MLPBasedRouter needs --model before any run starts")
-    if not Path(model_path).exists():
-        raise ConfigurationError(f"model file not found: {model_path}")
     model = load_model(model_path)
     if predictor_spec == "inprocess":
         return InProcessPredictor(model), model.medians

@@ -33,7 +33,8 @@ from .nodes import NodeClass, NodeId
 
 
 class ConfigurationError(ValueError):
-    """Invalid scenario configuration; names the offending section.key."""
+    """Invalid input (scenario or model file, command-line value); the
+    message names the file and key, or the option, at fault."""
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,13 @@ import math
 import socket
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
-from typing import Iterator
 from urllib.parse import urlsplit
 
-from .ml.model_io import LoadedModel, load_model
+from .ml.model_io import LoadedModel
 from .routing import PredictorUnavailableError
+from .scenario import ConfigurationError
 
 DEFAULT_TIMEOUT_S = 0.05
 MAX_BODY_BYTES = 64 * 1024  # a /predict body is seven numbers; far less than this
@@ -185,31 +183,20 @@ class PredictionServer(ThreadingHTTPServer):
 
 
 def parse_bind(bind: str) -> tuple[str, int]:
-    """Split "host:port"; the host defaults to loopback when omitted."""
+    """Split "host:port"; the host defaults to loopback when omitted.
+
+    ConfigurationError names the address when the port is missing, not a
+    number, or outside 0..65535."""
     host, _, port_text = bind.rpartition(":")
     if not port_text:
-        raise ValueError(f"bind address {bind!r} needs a :port suffix")
+        raise ConfigurationError(f"bind address {bind!r} needs a :port suffix")
     try:
         port = int(port_text)
     except ValueError:
-        raise ValueError(f"bind address {bind!r} has a non-numeric port") from None
+        raise ConfigurationError(f"bind address {bind!r} has a non-numeric port") from None
+    if not 0 <= port <= 65535:
+        raise ConfigurationError(f"bind address {bind!r} has a port outside 0..65535")
     return host or "127.0.0.1", port
-
-
-@contextmanager
-def running_server(
-    model_path: str | Path, bind: str = "127.0.0.1:0"
-) -> Iterator[PredictionServer]:
-    """Serve a model file on a background thread; port 0 picks a free one."""
-    server = PredictionServer(parse_bind(bind), load_model(model_path))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from dtnlab.ml.mlp import (
     bce_with_logits,
     gradients,
     he_init,
-    numeric_gradients,
     predict_logits,
     sigmoid,
 )
@@ -62,8 +61,9 @@ from dtnlab.reports import (
 )
 from dtnlab.routing import DecisionCache, RelayQuery
 from dtnlab.scenario import MapSpec, desk_scenario, with_regime
-from dtnlab.serve import HttpPredictor, InProcessPredictor, running_server
+from dtnlab.serve import HttpPredictor, InProcessPredictor
 from dtnlab.simcore import run_simulation
+from helpers import numeric_gradients, running_server
 
 
 def render_logs(out) -> str:

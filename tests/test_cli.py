@@ -15,6 +15,7 @@ import pytest
 
 import dtnlab
 import dtnlab.pipeline as pipeline
+from dtnlab import cli
 from dtnlab.cli import main
 from dtnlab.mobility import grid_map, save_map
 from dtnlab.pipeline import load_predictor
@@ -31,7 +32,8 @@ from dtnlab.scenario import (
     scenario_ini,
     with_regime,
 )
-from dtnlab.serve import HttpPredictor, running_server
+from dtnlab.serve import HttpPredictor
+from helpers import running_server
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,26 @@ class TestSimulate:
         assert rc == 2
         assert "localhost:80x" in capsys.readouterr().err
         assert not (workspace / "never_served").exists()
+
+    def test_truncated_model_file_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text((workspace / "model.json").read_text()[:200])
+        rc = main(
+            [
+                "simulate",
+                str(workspace / "p8c8.ini"),
+                "--router",
+                "MLPBasedRouter",
+                "--model",
+                str(broken),
+                "--out",
+                str(tmp_path / "never"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "broken.json" in err
+        assert not (tmp_path / "never").exists()
 
     def test_unknown_router_is_a_usage_error(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -448,7 +470,47 @@ class TestTrainAndTune:
         assert (workspace / "tuned.json").exists()
 
 
+class TestServeCommand:
+    @pytest.fixture
+    def no_server(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a server was started")
+
+        monkeypatch.setattr(cli, "PredictionServer", refuse)
+
+    def serve(self, model: Path, bind: str = "127.0.0.1:0") -> int:
+        return main(["serve", "--model", str(model), "--bind", bind])
+
+    def test_bad_bind_exits_2_naming_it(self, workspace, capsys, no_server):
+        assert self.serve(workspace / "model.json", "nonsense") == 2
+        assert "error: bind address 'nonsense'" in capsys.readouterr().err
+
+    def test_missing_model_file_exits_2_naming_it(self, tmp_path, capsys, no_server):
+        assert self.serve(tmp_path / "ghost.json") == 2
+        assert "error: model file not found: " in capsys.readouterr().err
+
+    def test_truncated_model_file_exits_2_naming_it(
+        self, workspace, tmp_path, capsys, no_server
+    ):
+        broken = tmp_path / "broken.json"
+        broken.write_text((workspace / "model.json").read_text()[:-40])
+        assert self.serve(broken) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "broken.json: not a JSON model file" in err
+
+
 class TestSweepCommand:
+    def test_zero_seeds_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep was started")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        for seeds in ("0", "-2"):
+            rc = main(["sweep", "--out", str(tmp_path / "never"), "--seeds", seeds])
+            assert rc == 2
+            assert f"--seeds must be at least 1, got {seeds}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_requires_model_for_ml_router(self, workspace, tmp_path, capsys):
         rc = main(
             [

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
 
+import forest_reference
 from dtnlab.features import ZScoreNormalizer
-from dtnlab.ml.forest import RandomForestClassifier, best_split, gini, tree_predict_one
+from dtnlab.ml.forest import RandomForestClassifier, best_split, gini
 from dtnlab.ml.metrics import eval_metrics, roc_auc
 from dtnlab.ml.mlp import MlpClassifier
 from dtnlab.ml.model_io import LoadedModel, load_model, save_model
 from dtnlab.ml.tuning import grid_points, grid_search_cv, stratified_folds
+from dtnlab.scenario import ConfigurationError
+from forest_reference import tree_predict_one
 
 
 def blobs(n=160, dim=7, gap=2.0, seed=0):
@@ -146,6 +150,92 @@ class TestRandomForest:
         a = RandomForestClassifier(n_estimators=8, seed=5).fit(X, y).predict_proba(X)
         b = RandomForestClassifier(n_estimators=8, seed=5).fit(X, y).predict_proba(X)
         assert np.array_equal(a, b)
+
+
+def oracle_dataset(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with heavy ties, duplicated rows (their noisy labels may
+    disagree) and a constant column."""
+    X = np.round(rng.normal(0.0, 1.0, size=(n, 7)), int(rng.integers(0, 2)))
+    X[:, int(rng.integers(0, 7))] = float(rng.integers(-2, 3))
+    X[: n // 4] = X[rng.integers(0, n, size=n // 4)]
+    y = (X[:, 1] + X[:, 5] + rng.normal(0.0, 0.8, size=n) > 0.0).astype(int)
+    return X, y
+
+
+class TestForestOracle:
+    """The array forest against the frozen scalar reference, bit for bit."""
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_trees_importances_and_probabilities_equal_the_reference(self, case):
+        rng = np.random.default_rng(1600 + case)
+        X, y = oracle_dataset(rng, int(rng.integers(12, 90)))
+        params = dict(
+            n_estimators=int(rng.integers(1, 6)),
+            max_depth=[None, 1, 10][case % 3],
+            min_samples_leaf=1 + case % 4 % 3,
+            max_features=1 + case % 7,
+            bootstrap=bool(case % 2),
+            seed=int(rng.integers(0, 1000)),
+        )
+        forest = RandomForestClassifier(**params).fit(X, y)
+        trees, importances = forest_reference.fit(X, y, **params)
+        assert forest.trees_ == trees
+        assert np.array_equal(forest.feature_importances_, importances)
+        probe = np.vstack([X, np.round(rng.normal(0.0, 1.5, size=(20, 7)), 1)])
+        for batch in (probe, probe[:1], probe[:0]):
+            assert np.array_equal(
+                forest.predict_proba(batch), forest_reference.predict_proba(trees, batch)
+            )
+
+    def test_split_scan_equals_the_reference(self):
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            X, y = oracle_dataset(rng, int(rng.integers(4, 60)))
+            features = rng.choice(7, size=int(rng.integers(1, 8)), replace=False)
+            leaf = int(rng.integers(1, 4))
+            assert best_split(X, y, features, leaf) == forest_reference.best_split(
+                X, y, features, leaf
+            )
+            assert gini(y) == forest_reference.gini(y)
+
+    def test_nan_goes_right_as_in_the_dict_walk(self):
+        X, y = blobs(n=80, seed=12)
+        forest = RandomForestClassifier(n_estimators=5, seed=3).fit(X, y)
+        rows = np.tile(X[:4], (7, 1))
+        for i in range(7):
+            rows[4 * i : 4 * i + 4, i] = np.nan
+        expected = [
+            sum(tree_predict_one(tree, row) for tree in forest.trees_) / 5 for row in rows
+        ]
+        assert forest.predict_proba(rows) == pytest.approx(expected, abs=1e-15)
+        assert np.array_equal(
+            forest.predict_proba(rows), forest_reference.predict_proba(forest.trees_, rows)
+        )
+
+    def test_rows_of_another_width_are_refused(self):
+        X, y = blobs(n=40, seed=13)
+        forest = RandomForestClassifier(n_estimators=2, seed=0).fit(X, y)
+        with pytest.raises(ValueError, match="7 features"):
+            forest.predict_proba(X[:, :6])
+
+    def test_pinned_model_file_and_probabilities(self, tmp_path):
+        # digests of the nested-dict forest's output, before inference moved to arrays
+        rng = np.random.default_rng(1616)
+        X = np.round(rng.normal(3.0, 2.0, size=(150, 7)), 1)
+        X[:, 4] = 2.0
+        y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.5, size=150) > 6.0).astype(int)
+        scaler = ZScoreNormalizer().fit(X)
+        forest = RandomForestClassifier(n_estimators=40, max_depth=10, seed=7)
+        forest.fit(scaler.transform(X), y)
+        path = tmp_path / "rf.json"
+        save_model(path, forest, scaler, (3.0, 250.0))
+        probs = load_model(path).predict_proba(X)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c325c152f1a5a030d9ee95a99a7da6099cf1579ebc73629a4816f379275bdb33"
+        )
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == (
+            "fcb0e40e2de8f191777e3680de5df1a53c77406842dc0f2ba02020b34ce98e04"
+        )
 
 
 # -------------------------------------------------------------------- metrics
@@ -335,5 +425,138 @@ class TestModelIo:
         doc = json.loads(path.read_text())
         doc["kind"] = "svm"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="svm"):
+        with pytest.raises(ConfigurationError, match="m.json.*svm"):
             load_model(path)
+
+    @pytest.fixture
+    def rf_file(self, tmp_path):
+        X, y = blobs(n=60, seed=7)
+        model, scaler = self.fitted("rf", X, y)
+        path = tmp_path / "rf.json"
+        save_model(path, model, scaler, (1.0, 2.0))
+        return path
+
+    def test_missing_file_is_named(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="model file not found: .*ghost.json"):
+            load_model(tmp_path / "ghost.json")
+
+    @pytest.mark.parametrize("text", ["", "{", "not json", "[1, 2]", "\xff\xfe"])
+    def test_non_json_text_is_named(self, text, rf_file):
+        rf_file.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigurationError, match="rf.json: not a JSON model file"):
+            load_model(rf_file)
+
+    def test_truncated_file_is_named(self, rf_file):
+        text = rf_file.read_text()
+        for cut in (1, len(text) // 3, len(text) - 3):
+            rf_file.write_text(text[:cut])
+            with pytest.raises(ConfigurationError, match="rf.json"):
+                load_model(rf_file)
+
+    @pytest.mark.parametrize("field", ["kind", "params", "weights", "zscore", "medians"])
+    def test_missing_field_is_named(self, field, rf_file):
+        doc = json.loads(rf_file.read_text())
+        del doc[field]
+        rf_file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=f"rf.json: model file lacks {field}"):
+            load_model(rf_file)
+
+    def test_missing_nested_field_is_named(self, rf_file):
+        doc = json.loads(rf_file.read_text())
+        del doc["zscore"]["sigmas"]
+        rf_file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="rf.json: model file lacks 'sigmas'"):
+            load_model(rf_file)
+
+    @pytest.mark.parametrize("kind", ["mlp", "rf"])
+    def test_damaged_files_load_or_are_refused_by_name(self, kind, tmp_path):
+        X, y = blobs(n=60, seed=8)
+        model, scaler = self.fitted(kind, X, y)
+        good = tmp_path / "good.json"
+        save_model(good, model, scaler, (1.0, 2.0))
+        text = good.read_text()
+        rng = random.Random(f"damage-{kind}")
+        path = tmp_path / "damaged.json"
+        refused = 0
+        for trial in range(150):
+            how = trial % 3
+            if how == 0:
+                damaged = text[: rng.randrange(len(text))].encode()
+            elif how == 1:
+                doc = json.loads(text)
+                node = doc
+                while isinstance(node, dict) and node and rng.random() < 0.7:
+                    key = rng.choice(sorted(node))
+                    if not isinstance(node[key], dict):
+                        break
+                    node = node[key]
+                if isinstance(node, dict) and node:
+                    del node[rng.choice(sorted(node))]
+                damaged = json.dumps(doc).encode()
+            else:
+                damaged = bytearray(text.encode())
+                for _ in range(rng.randint(1, 3)):
+                    damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+                damaged = bytes(damaged)
+            path.write_bytes(damaged)
+            try:
+                load_model(path)
+            except ConfigurationError as err:
+                assert "damaged.json" in str(err)
+                refused += 1
+        assert refused > 50
+
+    @pytest.mark.parametrize(
+        "kind, damage, named",
+        [
+            ("rf", lambda doc: doc["zscore"]["means"].pop(), "zscore holds"),
+            ("mlp", lambda doc: doc["zscore"]["sigmas"].append(1.0), "zscore holds"),
+            ("mlp", lambda doc: doc["weights"][0][0].pop(), "a layer of shape"),
+            ("mlp", lambda doc: doc["weights"][-1][1].append(0.0), "a layer of shape"),
+            ("mlp", lambda doc: doc["weights"].pop(), "the last layer has 8 outputs, not 1"),
+        ],
+    )
+    def test_widths_that_do_not_fit_seven_features_are_named(
+        self, kind, damage, named, tmp_path
+    ):
+        X, y = blobs(n=60, seed=9)
+        model, scaler = self.fitted(kind, X, y)
+        path = tmp_path / "m.json"
+        save_model(path, model, scaler, (1.0, 2.0))
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=f"m.json: malformed {kind} model: {named}"):
+            load_model(path)
+
+    def test_forest_without_trees_is_named(self, rf_file):
+        doc = json.loads(rf_file.read_text())
+        doc["weights"]["trees"] = []
+        rf_file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="rf.json: .*no trees"):
+            load_model(rf_file)
+        with pytest.raises(ValueError, match="n_estimators"):
+            RandomForestClassifier(n_estimators=0).fit(*blobs(n=20, seed=1))
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda split: split.pop("right"), "lacks a left or right child"),
+            (lambda split: split.pop("left"), "lacks a left or right child"),
+            (lambda split: split.update(feature=7), "feature 7, not 0..6"),
+            (lambda split: split.update(feature=-1), "feature -1, not 0..6"),
+            (lambda split: split.update(feature="3"), "feature '3', not 0..6"),
+            (lambda split: split.update(threshold=None), "no numeric threshold"),
+            (lambda split: split["left"].clear(), "has no numeric prob"),
+            (lambda split: split["left"].pop("n"), "has no integer count n"),
+        ],
+    )
+    def test_malformed_tree_is_named(self, damage, named, rf_file):
+        doc = json.loads(rf_file.read_text())
+        split = doc["weights"]["trees"][1]
+        while "feature" in split["left"]:
+            split = split["left"]
+        damage(split)
+        rf_file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=f"rf.json: .*tree 1: .*{named}"):
+            load_model(rf_file)

@@ -13,10 +13,10 @@ from dtnlab.ml.mlp import (
     forward,
     gradients,
     he_init,
-    numeric_gradients,
     predict_logits,
     sigmoid,
 )
+from helpers import numeric_gradients
 
 
 def blobs(n=200, dim=7, gap=2.5, seed=0):

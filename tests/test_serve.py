@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import socket
 import threading
 import time
@@ -16,11 +17,12 @@ import pytest
 import requests
 
 from dtnlab.features import ZScoreNormalizer
+from dtnlab.ml.forest import RandomForestClassifier
 from dtnlab.ml.mlp import MlpClassifier
 from dtnlab.ml.model_io import LoadedModel, load_model, save_model
 from dtnlab.pipeline import compute_metrics
 from dtnlab.routing import FEATURE_NAMES, PredictorUnavailableError
-from dtnlab.scenario import desk_scenario
+from dtnlab.scenario import ConfigurationError, desk_scenario
 from dtnlab.simcore import run_simulation
 from dtnlab import serve
 from dtnlab.serve import (
@@ -29,8 +31,8 @@ from dtnlab.serve import (
     InProcessPredictor,
     evaluate,
     parse_bind,
-    running_server,
 )
+from helpers import running_server
 
 
 def sample_features(rng: random.Random | None = None) -> dict[str, float]:
@@ -210,6 +212,31 @@ class TestBackendEquivalence:
         for _ in range(200):
             features = {name: rng.uniform(0.0, 50.0) for name in FEATURE_NAMES}
             assert remote.decide(features) == local.decide(features)
+
+    def test_forest_over_http_equals_inprocess_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X = np.vstack(
+            [rng.normal(2.0, 1.0, size=(60, 7)), rng.normal(6.0, 1.0, size=(60, 7))]
+        )
+        y = np.array([0] * 60 + [1] * 60)
+        scaler = ZScoreNormalizer().fit(X)
+        forest = RandomForestClassifier(n_estimators=50, max_depth=10, seed=3)
+        forest.fit(scaler.transform(X), y)
+        path = tmp_path / "rf.json"
+        save_model(path, forest, scaler, medians=(2.0, 900.0))
+        local = InProcessPredictor(load_model(path))
+        assert local.model.kind == "rf"
+        answers = []
+        with running_server(path) as srv:
+            remote = HttpPredictor(srv.endpoint, timeout_s=2.0)
+            query_rng = random.Random(16)
+            for _ in range(200):
+                features = {name: query_rng.uniform(0.0, 8.0) for name in FEATURE_NAMES}
+                answer = remote.decide(features)
+                assert answer == local.decide(features)
+                answers.append(answer)
+        assert len({prob for _, prob in answers}) > 20  # many distinct leaf mixes
+        assert {label for label, _ in answers} == {0, 1}
 
     def test_repeat_requests_are_pure(self, server):
         remote = HttpPredictor(server.endpoint, timeout_s=2.0)
@@ -408,3 +435,6 @@ class TestParseBind:
             parse_bind("localhost")
         with pytest.raises(ValueError, match="port"):
             parse_bind("localhost:http")
+        for bind in ("nonsense", "host:", ":65536", ":-1"):
+            with pytest.raises(ConfigurationError, match=re.escape(repr(bind))):
+                parse_bind(bind)
