@@ -19,6 +19,7 @@ import numpy as np
 
 from .nodes import MOBILE_CLASSES
 from .routing import FEATURE_NAMES, NodeStats
+from .scenario import ConfigurationError
 
 REVERSED_FEATURES = ("avg_hop_count", "avg_delivery_time")
 _REVERSED_IDX = tuple(FEATURE_NAMES.index(name) for name in REVERSED_FEATURES)
@@ -318,6 +319,11 @@ def _cell(value) -> str:
 
 def load_dataset(in_dir: str | Path) -> Dataset:
     src = Path(in_dir)
+    if not src.is_dir():
+        raise ConfigurationError(f"dataset directory not found: {src}")
+    for name in ("metadata.json", "dataset.csv"):
+        if not (src / name).is_file():
+            raise ConfigurationError(f"dataset directory {src} has no {name}")
     meta = json.loads((src / "metadata.json").read_text())
     medians = tuple(meta["medians"][name] for name in REVERSED_FEATURES)
     rows: list[dict] = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
 class NodeClass(Enum):
@@ -45,9 +46,12 @@ class NodeId:
     def sort_key(self) -> tuple[str, int]:
         return (self.node_class.prefix, self.index)
 
-    @classmethod
-    def parse(cls, name: str) -> "NodeId":
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def parse(name: str) -> "NodeId":
+        """The node a name denotes.  A run's logs name a few hundred nodes,
+        so each name parses to one shared object; NodeId is frozen."""
         m = _NAME_RE.match(name)
         if m is None:
             raise ValueError(f"not a node name: {name!r}")
-        return cls(_PREFIXES[m.group(1)], int(m.group(2)))
+        return NodeId(_PREFIXES[m.group(1)], int(m.group(2)))

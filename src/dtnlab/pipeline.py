@@ -171,6 +171,10 @@ class RunRecord:
 
 def read_run(run_dir: str | Path) -> RunRecord:
     run = Path(run_dir)
+    if not run.is_dir():
+        raise ConfigurationError(f"run directory not found: {run}")
+    if not (run / "manifest.json").is_file():
+        raise ConfigurationError(f"run directory {run} has no manifest.json")
     manifest = json.loads((run / "manifest.json").read_text())
     return RunRecord(
         manifest=manifest,

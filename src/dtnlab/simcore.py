@@ -10,16 +10,28 @@ of ticks at a time, measures over each block only the pairs that can be
 linked in it, and records each tick's link transitions, ordered by
 node-index pair (i < j, row major), together with the contact log they
 write.  It reads no engine state, so every protocol run over one (scenario,
-seed) replays the same plan and hands out the same contact log.  The
-engine steps one tick at a time.  Each tick advances time by
-the fixed mobility step and processes, in this order: transfer progress and
-completions, the plan's link down then up transitions, TTL expiry, traffic
-generation, routing decisions, transfer starts.  The engine keeps the keys
-of the open link sessions in one sorted list, updated by bisection on link
-up and down, and every phase walks sessions in key order and nodes by index;
-the transfer phases walk only the few sessions with a transfer in flight or
-a queue waiting, sorted out of two key sets.  That sorted-key list is what
-pins the event order and makes logs byte-identical across repeated runs.
+seed) replays the same plan and hands out the same contact log.
+
+The engine visits only the ticks that can change its state.  Tick k has the
+time round(k * tick_s, 4), and a visited tick processes, in this order:
+transfer progress and completions, the plan's link down then up transitions,
+TTL expiry, traffic generation, routing decisions, transfer starts.  While a
+transfer is in flight the engine visits every tick, so each one takes its
+bytes off in the same float steps.  Otherwise it jumps to the first of: the
+plan's next tick with a transition, the first tick whose time reaches the
+next message arrival, and the first whose time reaches the earliest expiry
+(`first_tick`, the same `now >= t` test that generation and expiry apply).
+Skipping the ticks between is exact: with nothing in flight, no transition,
+no arrival and no expiry due, a tick neither starts nor moves anything (a
+queued decision waits only on a transfer in flight), so the audit mode, which
+checks every visited tick, sees every state the run passes through.
+
+The engine keeps the keys of the open link sessions in one sorted list,
+updated by bisection on link up and down, and every phase walks sessions in
+key order and nodes by index; the transfer phases walk only the few sessions
+with a transfer in flight or a queue waiting, sorted out of two key sets.
+That sorted-key list is what pins the event order and makes logs
+byte-identical across repeated runs.
 
 Radio model: nodes are linked while their distance is at most the radio
 range.  Transfers are half duplex, one per node at a time, at a fixed link
@@ -84,11 +96,12 @@ class TrafficSource:
         self.dests = dests
         self.rng = rng
         self.counter = 0
-        self._next = round(rng.uniform(*interval_s), 4)
+        # creation time of the next message; poll hands it out once now reaches it
+        self.next_at = round(rng.uniform(*interval_s), 4)
 
     def poll(self, now: float) -> list[Message]:
         out = []
-        while self._next <= now:
+        while self.next_at <= now:
             dest = self.dests[self.rng.randrange(len(self.dests))]
             out.append(
                 Message(
@@ -96,13 +109,27 @@ class TrafficSource:
                     size=self.rng.randint(*self.size_bytes),
                     source=self.source,
                     dest=dest,
-                    created_at=self._next,
+                    created_at=self.next_at,
                     ttl_s=self.ttl_s,
                 )
             )
             self.counter += 1
-            self._next = round(self._next + self.rng.uniform(*self.interval_s), 4)
+            self.next_at = round(self.next_at + self.rng.uniform(*self.interval_s), 4)
         return out
+
+
+def first_tick(t: float, tick_s: float) -> int:
+    """The first tick k >= 1 whose time round(k * tick_s, 4) reaches t.
+
+    This is the tick on which `now >= t` first holds, the test TrafficSource.poll
+    and the engine's expiry apply; it may lie past the end of the run.
+    """
+    k = max(1, math.ceil(t / tick_s))
+    while k > 1 and round((k - 1) * tick_s, 4) >= t:
+        k -= 1
+    while round(k * tick_s, 4) < t:
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=16)
@@ -422,9 +449,31 @@ class Simulation:
     def run(self) -> SimOutput:
         if self.plan is None:
             self.plan = contact_plan(self.spec, self.seed)
-        for k in range(1, self.n_ticks + 1):
-            now = round(k * self.spec.tick_s, 4)
-            self._tick(now, *self.plan.transitions.get(k, ((), ())))
+        transitions = self.plan.transitions
+        plan_ticks = iter(sorted(transitions))
+        tick_s = self.spec.tick_s
+        n_ticks = self.n_ticks
+        last = round(n_ticks * tick_s, 4)  # a time after it (inf, NaN) is never due
+        next_plan = next(plan_ticks, n_ticks + 1)
+        k = 0
+        while k < n_ticks:
+            if self._transferring or next_plan == k + 1:
+                k += 1
+            else:  # nothing in flight: jump to the next tick that can act
+                k = next_plan
+                due = self.traffic.next_at
+                if due <= last:
+                    k = min(k, first_tick(due, tick_s))
+                if self.expiry_heap and self.expiry_heap[0][0] <= last:
+                    k = min(k, first_tick(self.expiry_heap[0][0], tick_s))
+                if k > n_ticks:
+                    break
+            if k == next_plan:
+                downs, ups = transitions[k]
+                next_plan = next(plan_ticks, n_ticks + 1)
+            else:
+                downs = ups = ()
+            self._tick(round(k * tick_s, 4), downs, ups)
         self._finish(round(self.spec.duration_s, 4))
         return SimOutput(
             scenario=self.spec.name,

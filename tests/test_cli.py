@@ -419,6 +419,21 @@ class TestExtract:
         assert (workspace / "dataset_one" / "dataset.csv").exists()
         assert (workspace / "dataset_one" / "metadata.json").exists()
 
+    def test_missing_run_directory_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        ghost = tmp_path / "ghost"
+        logs = [str(workspace / "run1"), str(ghost)]
+        rc = main(["extract", "--logs", *logs, "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: run directory not found: {ghost}\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_directory_without_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        rc = main(["extract", "--logs", str(bare), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: run directory {bare} has no manifest.json\n"
+
 
 class TestTrainAndTune:
     def test_train_writes_model_and_eval(self, workspace, capsys):
@@ -429,6 +444,27 @@ class TestTrainAndTune:
         doc = json.loads((workspace / "model.json").read_text())
         assert doc["kind"] == "rf"
         assert doc["model_version"]
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    @pytest.mark.parametrize("kind", ["rf", "no-such-kind"])
+    def test_missing_dataset_exits_2_naming_it(self, command, kind, tmp_path, capsys):
+        ghost = tmp_path / "ghost"
+        out = tmp_path / "never.json"
+        rc = main([command, "--dataset", str(ghost), "--model-kind", kind, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: dataset directory not found: {ghost}\n"
+        assert not out.exists()
+
+    def test_dataset_without_its_files_exits_2_naming_them(self, workspace, tmp_path, capsys):
+        partial = tmp_path / "partial"
+        partial.mkdir()
+        args = ["train", "--dataset", str(partial), "--out", str(tmp_path / "never.json")]
+        assert main(args) == 2
+        assert f"dataset directory {partial} has no metadata.json" in capsys.readouterr().err
+        metadata = (workspace / "dataset" / "metadata.json").read_bytes()
+        (partial / "metadata.json").write_bytes(metadata)
+        assert main(args) == 2
+        assert f"dataset directory {partial} has no dataset.csv" in capsys.readouterr().err
 
     def test_svm_is_refused_citing_the_exclusion(self, workspace, capsys):
         rc = main(

@@ -289,3 +289,19 @@ def test_contact_line_refuses_a_node_linked_to_itself() -> None:
         parse_contact_lines(["@1.00 p1 <-> p2 up", "@2.00 p3 <-> p03 up"])
     assert err.value.line_no == 2
     assert "differ" in err.value.reason
+
+
+def test_a_parsed_name_is_one_shared_node() -> None:
+    first = NodeId.parse("p13")
+    assert NodeId.parse("p13") is first
+    assert first == NodeId(NodeClass.PEDESTRIAN, 13)
+    assert NodeId.parse("c13") is not first
+    parsed = parse_contact_lines(["@1.00 p13 <-> h0 up", "@2.00 p13 <-> h0 down"])
+    assert all(event.a is first for event in parsed)
+
+
+@pytest.mark.parametrize("bad", ["x1", "p", "p-1", "", "P1", "p1 ", "13"])
+def test_a_bad_name_still_raises_every_time(bad) -> None:
+    for _ in range(2):  # a refused name is not remembered as a node
+        with pytest.raises(ValueError, match=f"not a node name: {bad!r}"):
+            NodeId.parse(bad)

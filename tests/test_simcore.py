@@ -37,10 +37,13 @@ from dtnlab.simcore import (
     Simulation,
     TrafficSource,
     Transfer,
+    build_router,
     contact_plan,
+    first_tick,
     link_transitions,
     run_simulation,
 )
+from engine_reference import run_per_tick
 
 A0 = NodeId.parse("a0")
 H0 = NodeId.parse("h0")
@@ -850,6 +853,164 @@ class TestDecisionCacheInARun:
         assert pruned_peak < kept_peak / 3
 
 
+# ------------------------------------------------------------ event stepping
+
+
+class TestFirstTick:
+    @pytest.mark.parametrize("tick_s", [0.1, 0.03, 0.07, 1.0])
+    def test_equals_the_first_tick_whose_time_reaches_t(self, tick_s):
+        n_ticks = 400
+        times = [round(k * tick_s, 4) for k in range(n_ticks + 2)]
+        rng = random.Random(str(tick_s))
+        probes = times[1:] + [round(rng.uniform(0.0, times[-1]), 4) for _ in range(300)]
+        probes += [t + 1e-9 for t in times[1:-1]] + [t - 1e-9 for t in times[1:]]
+        for t in probes:
+            want = next(k for k in range(1, n_ticks + 2) if times[k] >= t)
+            assert first_tick(t, tick_s) == want, t
+
+    def test_grid_times_map_to_their_own_tick(self):
+        for k in (1, 2, 3, 7, 10, 333, 1000, 35999, 36000):
+            assert first_tick(round(k * 0.1, 4), 0.1) == k
+            assert first_tick(round(k * 0.03, 4), 0.03) == k
+
+    def test_off_grid_times_map_to_the_next_tick(self):
+        assert first_tick(0.31, 0.1) == 4
+        assert first_tick(27.3456, 0.1) == 274
+        assert first_tick(27.3456, 0.03) == 912  # 27.36; tick 911 is 27.33
+        assert first_tick(1200.0001, 0.1) == 12001
+
+    def test_times_up_to_one_tick_map_to_the_first(self):
+        for t in (-5.0, 0.0, 1e-9, 0.05, 0.1):
+            assert first_tick(t, 0.1) == 1
+        assert first_tick(0.1000001, 0.1) == 2
+
+    def test_times_past_the_end_map_past_the_last_tick(self):
+        spec = desk_scenario(4, 4, duration_s=60.0)
+        n_ticks = round(spec.duration_s / spec.tick_s)
+        assert first_tick(spec.duration_s, spec.tick_s) == n_ticks
+        assert first_tick(spec.duration_s + 0.01, spec.tick_s) == n_ticks + 1
+        assert first_tick(spec.duration_s + 1e6, spec.tick_s) > n_ticks
+
+
+class FlakyByDegree:
+    """Stub predictor that gates on the degree and fails every third call."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def decide(self, features):
+        self.calls += 1
+        if self.calls % 3 == 0:
+            raise PredictorUnavailableError("dropped")
+        return int(features["degree"] >= 2.0), features["degree"] / 40.0
+
+
+class CountingCuts(Simulation):
+    """The engine, counting the transfers a link down or an expiry cuts short."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.cut = {"link down": 0, "expiry": 0}
+
+    def _link_down(self, i: int, j: int, now: float) -> None:
+        self.cut["link down"] += self.sessions[(i, j)].transfer is not None
+        super()._link_down(i, j, now)
+
+    def _expire(self, now: float) -> None:
+        in_flight = len(self._transferring)
+        super()._expire(now)
+        self.cut["expiry"] += in_flight - len(self._transferring)
+
+
+ROUTERS = ("SprayAndWait", "RandomRouter", "Epidemic", "MLPBasedRouter")
+
+
+def stepped_and_per_tick(spec: ScenarioSpec, seed: int):
+    """Each router's (event-stepped run, its cuts, per-tick run), in audit mode."""
+    plan = contact_plan(spec, seed)
+    for router in ROUTERS:
+        sim = CountingCuts(
+            spec, build_router(router, seed, FlakyByDegree()), seed, audit=True, plan=plan
+        )
+        stepped = sim.run()
+        reference = run_per_tick(spec, router, seed, FlakyByDegree(), audit=True, plan=plan)
+        yield stepped, sim.cut, reference
+
+
+def assert_same_run(stepped, reference) -> None:
+    assert log_text(stepped) == log_text(reference)
+    assert stepped.eligible_encounters == reference.eligible_encounters
+    assert stepped.fallbacks == reference.fallbacks
+    assert stepped.audit.copy_peaks == reference.audit.copy_peaks
+    assert stepped.audit.violations == reference.audit.violations == []
+
+
+class TestEventStepping:
+    """The engine visits only the ticks that can act; each case must equal
+    the frozen per-tick loop in every log, counter and audit record."""
+
+    def test_acceptance_scenarios_with_every_router(self):
+        rng = random.Random(101)  # the scenarios of acceptance criterion c01
+        fallbacks = 0
+        for _ in range(20):
+            p, c = rng.randint(3, 7), rng.randint(3, 7)
+            regime = rng.choice(("weekday", "holiday"))
+            rng.choice(("SprayAndWait", "RandomRouter", "Epidemic"))
+            seed = rng.randint(1, 10_000)
+            duration = rng.choice((300.0, 450.0, 600.0))
+            spec = with_regime(desk_scenario(p, c, duration_s=duration), regime)
+            for stepped, _, reference in stepped_and_per_tick(spec, seed):
+                assert_same_run(stepped, reference)
+                fallbacks += stepped.fallbacks
+        assert fallbacks > 0  # the flaky predictor's fallbacks were compared too
+
+    def test_long_transfers_cut_by_link_downs(self):
+        spec = desk_scenario(20, 20, duration_s=900.0)  # the default 2 Mbps
+        cuts = deliveries = 0
+        for stepped, cut, reference in stepped_and_per_tick(spec, 6):
+            assert_same_run(stepped, reference)
+            cuts += cut["link down"]
+            deliveries += len(stepped.deliveries)
+        assert cuts > 0 and deliveries > 0
+
+    def test_ticks_off_the_arrival_and_expiry_grid(self):
+        spec = replace(
+            desk_scenario(20, 20, duration_s=600.0), tick_s=0.03, ttl_s=150.0
+        )
+        cuts = {"link down": 0, "expiry": 0}
+        for stepped, cut, reference in stepped_and_per_tick(spec, 3):
+            assert_same_run(stepped, reference)
+            for reason in cuts:
+                cuts[reason] += cut[reason]
+            due = [m.created_at for m in stepped.messages]
+            due += [m.created_at + m.ttl_s for m in stepped.messages]
+            # arrival and expiry times that no tick's time equals
+            assert sum(round(first_tick(t, 0.03) * 0.03, 4) != t for t in due) > 10
+            assert any(r.reason == "expired" for r in stepped.residencies)
+        assert cuts["link down"] > 0 and cuts["expiry"] > 0
+
+    def test_an_expiry_with_nothing_else_due_is_visited(self, tmp_path):
+        # no link ever comes up, and the last message expires after the last
+        # arrival, between two ticks, so only its expiry brings the engine there
+        spec = static_pair_spec(tmp_path, 500.0, duration_s=100.0, ttl_s=5.05)
+        for stepped, _, reference in stepped_and_per_tick(spec, 1):
+            assert_same_run(stepped, reference)
+            assert stepped.plan.transitions == {}
+            assert [(r.time, r.reason) for r in stepped.residencies] == [
+                (35.05, "expired"),
+                (65.05, "expired"),
+                (95.05, "expired"),
+            ]
+
+    def test_an_infinite_ttl_is_never_due(self):
+        # scenario validation accepts an infinite ttl_s: no tick reaches it
+        spec = replace(desk_scenario(4, 4, duration_s=300.0), ttl_s=math.inf)
+        for stepped, _, reference in stepped_and_per_tick(spec, 1):
+            assert_same_run(stepped, reference)
+            assert stepped.messages
+            assert all(r.reason != "expired" for r in stepped.residencies)
+
+
 # ------------------------------------------------------------ traffic source
 
 
@@ -891,3 +1052,11 @@ class TestTrafficSource:
         assert [m.id for m in first + second] == [m.id for m in whole]
         assert all(m.created_at <= 500.0 for m in first)
         assert all(500.0 < m.created_at <= 1_000.0 for m in second)
+
+    def test_next_at_is_the_next_messages_creation_time(self):
+        src = self.make()
+        for _ in range(5):
+            due = src.next_at
+            assert src.poll(round(due - 0.0001, 4)) == []
+            [message] = src.poll(due)
+            assert message.created_at == due
