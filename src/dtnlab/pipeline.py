@@ -31,7 +31,6 @@ from .reports import (
     DeliveryRecord,
     RelayEvent,
     ResidencyRecord,
-    contact_log_lines,
     delivered_log_lines,
     parse_contact_lines,
     parse_delivered_lines,
@@ -44,7 +43,7 @@ from .reports import (
 from .routing import ROUTER_NAMES, Predictor
 from .scenario import ConfigurationError, ScenarioSpec, scenario_ini, with_regime
 from .serve import HttpPredictor, InProcessPredictor
-from .simcore import SimOutput, run_simulation
+from .simcore import SimOutput, contact_log_lines, run_simulation
 
 METRIC_ROWS = (
     ("delivery_probability", "Delivery Probability"),
@@ -132,7 +131,7 @@ def write_run(out_dir: str | Path, output: SimOutput, spec: ScenarioSpec) -> Run
     """Persist one simulation as logs + metrics + manifest; returns the metrics."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_lines(contact_log_lines(output.contact_events), out / LOG_FILES["contacts"])
+    write_lines(contact_log_lines(output.plan), out / LOG_FILES["contacts"])
     write_lines(delivered_log_lines(output.deliveries), out / LOG_FILES["deliveries"])
     write_lines(relay_log_lines(output.relays), out / LOG_FILES["relays"])
     write_lines(residency_log_lines(output.residencies), out / LOG_FILES["residencies"])
@@ -170,28 +169,53 @@ class RunRecord:
 
 
 def read_run(run_dir: str | Path) -> RunRecord:
+    """The run directory's logs, metrics and manifest.  A missing directory
+    or file, a malformed log line and a file that is not the JSON it should
+    be are refused by name (ConfigurationError)."""
     run = Path(run_dir)
     if not run.is_dir():
         raise ConfigurationError(f"run directory not found: {run}")
-    if not (run / "manifest.json").is_file():
-        raise ConfigurationError(f"run directory {run} has no manifest.json")
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = _read_json(_run_file(run, "manifest.json"))
     return RunRecord(
         manifest=manifest,
-        contacts=parse_contact_lines(
-            (run / LOG_FILES["contacts"]).read_text().splitlines()
-        ),
-        deliveries=parse_delivered_lines(
-            (run / LOG_FILES["deliveries"]).read_text().splitlines()
-        ),
-        relays=parse_relay_lines((run / LOG_FILES["relays"]).read_text().splitlines()),
-        residencies=parse_residency_lines(
-            (run / LOG_FILES["residencies"]).read_text().splitlines()
-        ),
-        metrics=RunMetrics.from_dict(
-            json.loads((run / "metrics.json").read_text())
-        ),
+        contacts=_read_log(run, LOG_FILES["contacts"], parse_contact_lines),
+        deliveries=_read_log(run, LOG_FILES["deliveries"], parse_delivered_lines),
+        relays=_read_log(run, LOG_FILES["relays"], parse_relay_lines),
+        residencies=_read_log(run, LOG_FILES["residencies"], parse_residency_lines),
+        metrics=_read_metrics(_run_file(run, "metrics.json")),
     )
+
+
+def _run_file(run: Path, name: str) -> Path:
+    path = run / name
+    if not path.is_file():
+        raise ConfigurationError(f"run directory {run} has no {name}")
+    return path
+
+
+def _read_log(run: Path, name: str, parse: Callable[[list[str]], list]) -> list:
+    path = _run_file(run, name)
+    try:
+        return parse(path.read_text().splitlines())
+    except ValueError as err:  # a ParseError names the line; bytes that are not text
+        raise ConfigurationError(f"{path}: {err}") from err
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as err:
+        raise ConfigurationError(f"{path}: not JSON: {err}") from err
+
+
+def _read_metrics(path: Path) -> RunMetrics:
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: not a JSON object")
+    missing = [name for name in RunMetrics.__dataclass_fields__ if name not in data]
+    if missing:
+        raise ConfigurationError(f"{path}: missing {', '.join(missing)}")
+    return RunMetrics.from_dict(data)
 
 
 def dataset_from_runs(
@@ -413,9 +437,7 @@ def discover_cells(out_dir: str | Path) -> tuple[dict, list[str], list[str], lis
         regime = seed_dir.parent.parent.name
         scenario = seed_dir.parent.parent.parent.name
         seed = int(seed_dir.name[len("seed") :])
-        cells[(scenario, regime, protocol, seed)] = RunMetrics.from_dict(
-            json.loads(metrics_path.read_text())
-        )
+        cells[(scenario, regime, protocol, seed)] = _read_metrics(metrics_path)
         for seen, value in ((scenarios, scenario), (regimes, regime), (protocols, protocol)):
             if value not in seen:
                 seen.append(value)

@@ -13,17 +13,17 @@ delivered-messages report, header line then one line per delivery::
     2225.4000 AC29 550456 3 1361.4000 a110 p10 277 N a110->c89->c102->p10
 
 Times carry two decimals in the connectivity trace and four in the delivered
-report.  remainingTtl is whole minutes.  The writer orders connectivity events
-by (time, a, b); parsers keep file order and report 1-based line numbers on
-malformed input.  Relay and buffer logs are auxiliary formats local to this
-package.
+report.  remainingTtl is whole minutes.  The connectivity writer is
+simcore.contact_log_lines, which renders a contact plan straight from its
+node indices in (time, a, b) order; parsers keep file order and report
+1-based line numbers on malformed input.  Relay and buffer logs are
+auxiliary formats local to this package.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -99,11 +99,6 @@ _CONTACT_RE = re.compile(
 )
 
 
-def format_contact_event(event: ContactEvent) -> str:
-    state = "up" if event.up else "down"
-    return f"@{event.time:.2f} {event.a} <-> {event.b} {state}"
-
-
 def parse_contact_line(line: str, line_no: int = 1) -> ContactEvent:
     m = _CONTACT_RE.match(line)
     if m is None:
@@ -112,19 +107,6 @@ def parse_contact_line(line: str, line_no: int = 1) -> ContactEvent:
     if a == b:
         raise ParseError(line_no, line, "contact endpoints must differ")
     return ContactEvent(time=float(m.group("time")), a=a, b=b, up=m.group("state") == "up")
-
-
-def contact_log_lines(events: Iterable[ContactEvent]) -> list[str]:
-    """The lines in (time, a, b) order, nodes by NodeId.sort_key.
-
-    Two stable sorts, by node pair and then by time, give that order
-    without building a key tuple for every event."""
-    ordered = list(events)
-    nodes = {e.a for e in ordered} | {e.b for e in ordered}
-    rank = {node: k for k, node in enumerate(sorted(nodes, key=attrgetter("sort_key")))}
-    ordered.sort(key=lambda e: rank[e.a] * len(rank) + rank[e.b])
-    ordered.sort(key=attrgetter("time"))
-    return [format_contact_event(e) for e in ordered]
 
 
 def parse_contact_lines(lines: Iterable[str]) -> list[ContactEvent]:

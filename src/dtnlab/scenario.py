@@ -15,6 +15,7 @@ section.key of every value it cannot parse.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import groupby
@@ -101,6 +102,13 @@ class ScenarioSpec:
 
     def validate(self) -> MapGraph:
         """Check field sanity and cross-references; returns the built map."""
+        # NaN fails no `<= 0` test, and infinity passes the sign tests
+        for section, key, name, parse in SCHEMA:
+            if parse is float or parse is _FLOAT_PAIR:
+                value = getattr(self.map if section == "map" else self, name)
+                values = value if parse is _FLOAT_PAIR else (value,)
+                if not all(math.isfinite(v) for v in values):
+                    raise ConfigurationError(f"{section}.{key} must be finite")
         if self.duration_s <= 0:
             raise ConfigurationError("scenario.duration_s must be positive")
         if self.tick_s <= 0:

@@ -7,10 +7,13 @@ protocols over the same seed stay comparable.
 
 The contact process comes first: `contact_plan` moves the walkers a block
 of ticks at a time, measures over each block only the pairs that can be
-linked in it, and records each tick's link transitions, ordered by
-node-index pair (i < j, row major), together with the contact log they
-write.  It reads no engine state, so every protocol run over one (scenario,
-seed) replays the same plan and hands out the same contact log.
+linked in it, and reads each tick's link transitions, ordered by node-index
+pair (i < j, row major), off the block's state flips.  The plan keeps them
+as node indices, with the pairs still linked at the end; `contact_log_lines`
+renders the contact log straight from those indices, and the plan builds
+the same log as ContactEvents only when asked.  The plan reads no engine
+state, so every protocol run over one (scenario, seed) replays the same plan
+and writes the same contact log.
 
 The engine visits only the ticks that can change its state.  Tick k has the
 time round(k * tick_s, 4), and a visited tick processes, in this order:
@@ -50,7 +53,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -195,14 +198,38 @@ CANDIDATE_SKIN_M = 1e-3
 class ContactPlan:
     """The link transitions of one (scenario, seed), for any protocol to replay:
     a tick number (1 is the first) maps to that tick's (downs, ups) node-index
-    pairs, and ticks without a transition are left out.  contact_events is
-    the contact log of every run that replays the plan: each tick's downs,
-    then its ups, then a down at the end for every pair still linked."""
+    pairs, and ticks without a transition are left out.  linked_at_end lists
+    the pairs still linked after the last tick, each closed by a down at the
+    end of the run.  That is the contact log of every run that replays the
+    plan: contact_log_lines renders it from these node indices, and
+    contact_events builds it as ContactEvents (each tick's downs, then its
+    ups, then the closing downs) once, on first use."""
 
     spec: ScenarioSpec
     seed: int
     transitions: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
-    contact_events: list[ContactEvent]
+    linked_at_end: list[tuple[int, int]]
+
+    def log_groups(self) -> list[tuple[float, list[tuple[int, int]], list[tuple[int, int]]]]:
+        """The contact log as (time, downs, ups) groups: one per tick with a
+        transition, in plan order, then the closing downs at the end."""
+        tick_s = self.spec.tick_s
+        groups = [
+            (round(round(k * tick_s, 4), 2), downs, ups)
+            for k, (downs, ups) in self.transitions.items()
+        ]
+        groups.append((round(self.spec.duration_s, 2), self.linked_at_end, []))
+        return groups
+
+    @cached_property
+    def contact_events(self) -> list[ContactEvent]:
+        nodes = self.spec.roster()
+        return [
+            ContactEvent(time, nodes[i], nodes[j], up)
+            for time, downs, ups in self.log_groups()
+            for up, part in ((False, downs), (True, ups))
+            for i, j in part
+        ]
 
 
 def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
@@ -213,9 +240,12 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
     positions; a pair is a candidate in the block if it is linked at the
     block start or if the bounding boxes of its two nodes over the block come
     within range.  The candidates are measured over the whole block at once,
-    and link_transitions, restricted to them, runs on each tick where one of
-    them changes state.  The transitions are those of a tick-by-tick walk
-    that measures every pair on every tick.
+    and the block's transitions are read off where a candidate's state flips
+    from one tick to the next, in (tick, pair) order.  A block with a flip
+    then calls link_transitions once, restricted to the candidates, on its
+    last positions: that gives the links at the block end, from which the
+    next block's candidate test starts.  The transitions are those of a
+    tick-by-tick walk that measures every pair on every tick.
     """
     graph = spec.validate()
     nodes = spec.roster()
@@ -255,7 +285,6 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
     range2 = spec.range_m * spec.range_m
     reach2 = (spec.range_m + CANDIDATE_SKIN_M) ** 2
     transitions = {}
-    events: list[ContactEvent] = []
     ticks = round(spec.duration_s / spec.tick_s)
     for first in range(1, ticks + 1, BLOCK_TICKS):
         here = block[: min(BLOCK_TICKS, ticks + 1 - first)]
@@ -282,20 +311,52 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
         flips = np.empty_like(linked)
         flips[0] = linked[0] != in_range.take(pairs[2])
         np.not_equal(linked[1:], linked[:-1], out=flips[1:])
-        for t in flips.any(axis=1).nonzero()[0].tolist():
-            in_range, ups, downs = link_transitions(here[t], range2, in_range, pairs=pairs)
-            k = first + t
-            transitions[k] = (downs, ups)
-            now = round(round(k * spec.tick_s, 4), 2)
-            events += [ContactEvent(now, nodes[i], nodes[j], False) for i, j in downs]
-            events += [ContactEvent(now, nodes[i], nodes[j], True) for i, j in ups]
-    end = round(spec.duration_s, 2)
+        ts, cs = flips.nonzero()  # row major: by tick, then by pair
+        if not len(ts):
+            continue
+        in_range = link_transitions(here[-1], range2, in_range, pairs=pairs)[0]
+        for k, i, j, up in zip(
+            (ts + first).tolist(),
+            pairs[0][cs].tolist(),
+            pairs[1][cs].tolist(),
+            linked[ts, cs].tolist(),
+        ):
+            if k not in transitions:
+                transitions[k] = ([], [])
+            transitions[k][up].append((i, j))  # (downs, ups)
     rows, cols = np.triu(in_range, 1).nonzero()  # row major, so in (i, j) order
-    events += [
-        ContactEvent(end, nodes[i], nodes[j], False)
-        for i, j in zip(rows.tolist(), cols.tolist())
+    return ContactPlan(spec, seed, transitions, list(zip(rows.tolist(), cols.tolist())))
+
+
+def contact_log_lines(plan: ContactPlan) -> list[str]:
+    """The plan's contact log: a line per transition and per closing down, in
+    (time, a, b) order with the nodes ranked by NodeId.sort_key.
+
+    One stable lexsort on (time, rank(a) * N + rank(b)) gives that order;
+    each node's name and each tick's time stamp is formatted once."""
+    nodes = plan.spec.roster()
+    names = [str(node) for node in nodes]
+    rank = np.empty(len(nodes), dtype=np.int64)
+    rank[sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key)] = np.arange(len(nodes))
+    groups = plan.log_groups()
+    parts = [part for _, downs, ups in groups for part in (downs, ups)]
+    ab = np.array([pair for part in parts for pair in part], dtype=np.int64).reshape(-1, 2)
+    # each event's part: part 2g holds group g's downs and part 2g + 1 its ups
+    event_part = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    group, up = event_part // 2, event_part % 2
+    times = np.array([time for time, _, _ in groups])
+    order = np.lexsort((rank[ab[:, 0]] * len(nodes) + rank[ab[:, 1]], times[group]))
+    stamps = [f"@{time:.2f}" for time, _, _ in groups]
+    states = ("down", "up")
+    return [
+        f"{stamps[g]} {names[a]} <-> {names[b]} {states[u]}"
+        for g, a, b, u in zip(
+            group[order].tolist(),
+            ab[order, 0].tolist(),
+            ab[order, 1].tolist(),
+            up[order].tolist(),
+        )
     ]
-    return ContactPlan(spec, seed, transitions, events)
 
 
 class NodeBuffer:
@@ -375,7 +436,7 @@ class SimOutput:
     seed: int
     duration_s: float
     nodes: list[NodeId]
-    contact_events: list[ContactEvent]
+    plan: ContactPlan  # the contact plan the run replayed, which owns its contact log
     deliveries: list[DeliveryRecord]
     relays: list[RelayEvent]
     residencies: list[ResidencyRecord]
@@ -384,7 +445,10 @@ class SimOutput:
     eligible_encounters: int = 0
     fallbacks: int = 0
     audit: AuditTrail | None = None
-    plan: ContactPlan | None = None  # the contact plan the run replayed
+
+    @property
+    def contact_events(self) -> list[ContactEvent]:
+        return self.plan.contact_events
 
 
 class Simulation:
@@ -453,7 +517,7 @@ class Simulation:
         plan_ticks = iter(sorted(transitions))
         tick_s = self.spec.tick_s
         n_ticks = self.n_ticks
-        last = round(n_ticks * tick_s, 4)  # a time after it (inf, NaN) is never due
+        last = round(n_ticks * tick_s, 4)  # a time after it is never due
         next_plan = next(plan_ticks, n_ticks + 1)
         k = 0
         while k < n_ticks:
@@ -482,7 +546,7 @@ class Simulation:
             seed=self.seed,
             duration_s=self.spec.duration_s,
             nodes=list(self.nodes),
-            contact_events=self.plan.contact_events,
+            plan=self.plan,
             deliveries=self.deliveries,
             relays=self.relays,
             residencies=self.residencies,
@@ -491,7 +555,6 @@ class Simulation:
             eligible_encounters=getattr(self.router, "eligible_encounters", 0),
             fallbacks=getattr(self.router, "fallbacks", 0),
             audit=self.audit,
-            plan=self.plan,
         )
 
     def _tick(self, now: float, downs: Sequence, ups: Sequence) -> None:

@@ -36,7 +36,7 @@ class PerTickSimulation(Simulation):
             seed=self.seed,
             duration_s=self.spec.duration_s,
             nodes=list(self.nodes),
-            contact_events=self.plan.contact_events,
+            plan=self.plan,
             deliveries=self.deliveries,
             relays=self.relays,
             residencies=self.residencies,
@@ -45,7 +45,6 @@ class PerTickSimulation(Simulation):
             eligible_encounters=getattr(self.router, "eligible_encounters", 0),
             fallbacks=getattr(self.router, "fallbacks", 0),
             audit=self.audit,
-            plan=self.plan,
         )
 
 

@@ -49,9 +49,7 @@ from dtnlab.reports import (
     NodeId,
     RelayEvent,
     ResidencyRecord,
-    contact_log_lines,
     delivered_log_lines,
-    format_contact_event,
     parse_contact_lines,
     parse_delivered_lines,
     parse_relay_lines,
@@ -62,13 +60,14 @@ from dtnlab.reports import (
 from dtnlab.routing import DecisionCache, RelayQuery
 from dtnlab.scenario import MapSpec, desk_scenario, with_regime
 from dtnlab.serve import HttpPredictor, InProcessPredictor
-from dtnlab.simcore import run_simulation
+from dtnlab.simcore import contact_log_lines, run_simulation
+from contact_log_reference import format_contact_event
 from helpers import numeric_gradients, running_server
 
 
 def render_logs(out) -> str:
     parts = []
-    parts.extend(contact_log_lines(out.contact_events))
+    parts.extend(contact_log_lines(out.plan))
     parts.extend(delivered_log_lines(out.deliveries))
     parts.extend(relay_log_lines(out.relays))
     parts.extend(residency_log_lines(out.residencies))

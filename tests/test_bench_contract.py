@@ -58,6 +58,11 @@ def test_tracer_after_hooks_count_a_traced_run(bench_modules, tmp_path):
         t.uninstall()
     assert t.counts["ticks"] == 600
     assert t.counts["link_ups"] > 0
+    # link_transitions runs once per 100-tick block with a flip, on the
+    # block's last positions, and the tracer checked such a whole block
+    # against brute-force pairwise distances (a mismatch raises)
+    assert 1 <= t.ncalls("simcore.link_transitions") <= 600 // simcore.BLOCK_TICKS
+    assert t.counts["link_checks"] >= 1
     assert t.counts["buffer_admits"] > 0
     assert t.counts["write_run_bytes"] > 0
 

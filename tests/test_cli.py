@@ -6,6 +6,7 @@ import filecmp
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -342,6 +343,36 @@ class TestScenarioFile:
             load_scenario(bad)
         assert f"city.ini: {named}: " in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("ttl_s = 18000.0", "ttl_s = nan", "traffic.ttl_s"),
+            ("range_m = 30.0", "range_m = nan", "radio.range_m"),
+        ],
+    )
+    def test_nan_is_refused_naming_its_key(self, old, new, named, tmp_path, capsys):
+        bad = tmp_path / "city.ini"
+        bad.write_text(scenario_ini(DESK).replace(old, new))
+        with pytest.raises(ConfigurationError) as exc:
+            load_scenario(bad)
+        assert str(exc.value) == f"{bad}: {named} must be finite"
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "never")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {named} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (dict(ttl_s=float("inf")), "traffic.ttl_s"),
+            (dict(duration_s=float("inf")), "scenario.duration_s"),
+            (dict(interval_s=(25.0, float("inf"))), "traffic.interval_s"),
+            (dict(car_pause_s=(float("-inf"), 0.0)), "mobility.car_pause_s"),
+            (dict(map=replace(DESK.map, spacing_m=float("nan"))), "map.spacing_m"),
+        ],
+    )
+    def test_infinity_and_nan_are_refused_by_validate(self, change, named):
+        with pytest.raises(ConfigurationError, match=f"^{named} must be finite$"):
+            replace(DESK, **change).validate()
+
     def test_unknown_map_kind_is_named_before_its_keys(self, tmp_path):
         bad = tmp_path / "city.ini"
         bad.write_text(scenario_ini(DESK).replace("kind = grid", "kind = hexgrid"))
@@ -433,6 +464,56 @@ class TestExtract:
         rc = main(["extract", "--logs", str(bare), "--out", str(tmp_path / "d")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: run directory {bare} has no manifest.json\n"
+
+    @pytest.mark.parametrize(
+        "name", ["connectivity.txt", "delivered.txt", "relay.txt", "buffer.txt", "metrics.json"]
+    )
+    def test_run_without_a_file_exits_2_naming_it(self, name, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run1", run)
+        (run / name).unlink()
+        assert main(["extract", "--logs", str(run), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: run directory {run} has no {name}\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "name, line, reason",
+        [
+            ("connectivity.txt", "@0.10 p1 <-> p1 up", "contact endpoints must differ"),
+            ("delivered.txt", "12.0000 AC1", "expected 10 fields, got 2"),
+            ("relay.txt", "garbage", None),
+        ],
+    )
+    def test_malformed_log_line_exits_2_naming_file_and_line(
+        self, name, line, reason, workspace, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run1", run)
+        lines = (run / name).read_text().splitlines()
+        (run / name).write_text("\n".join(lines + [line]) + "\n")
+        assert main(["extract", "--logs", str(run), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / name}: line {len(lines) + 1}: ")
+        assert repr(line) in err and (reason is None or reason in err)
+
+    def test_manifest_that_is_not_json_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run1", run)
+        (run / "manifest.json").write_text('{"tool_version": ')
+        assert main(["extract", "--logs", str(run), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run / 'manifest.json'}: not JSON: ")
+
+    @pytest.mark.parametrize("text", ["{\"delivery_probability\": ", "[1, 2]", "{}"])
+    def test_broken_metrics_exit_2_naming_the_file(self, text, workspace, tmp_path, capsys):
+        run = tmp_path / "sweep" / "P8_C8" / "weekday" / "SprayAndWait" / "seed1"
+        shutil.copytree(workspace / "run1", run)
+        (run / "metrics.json").write_text(text)
+        for argv in (
+            ["extract", "--logs", str(run), "--out", str(tmp_path / "d")],
+            ["report", "--runs", str(tmp_path / "sweep")],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {run / 'metrics.json'}: ")
 
 
 class TestTrainAndTune:

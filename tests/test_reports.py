@@ -14,9 +14,7 @@ from dtnlab.reports import (
     ParseError,
     RelayEvent,
     ResidencyRecord,
-    contact_log_lines,
     delivered_log_lines,
-    format_contact_event,
     format_delivery_record,
     parse_contact_lines,
     parse_delivered_lines,
@@ -25,6 +23,9 @@ from dtnlab.reports import (
     relay_log_lines,
     residency_log_lines,
 )
+from dtnlab.scenario import ScenarioSpec
+from dtnlab.simcore import ContactPlan, contact_log_lines
+from contact_log_reference import format_contact_event
 
 # Golden excerpts in the upstream trace formats; parsers and writers must
 # reproduce these byte for byte.
@@ -105,6 +106,18 @@ def test_delivered_header_exact() -> None:
     assert GOLDEN_DELIVERED.splitlines()[0] == DELIVERED_HEADER
 
 
+def plan_of(events: list[ContactEvent]) -> ContactPlan:
+    """A contact plan on 0.1 s ticks holding these transitions, with no link
+    left open at the end."""
+    spec = ScenarioSpec(pedestrians=11, cars=10, hospitals=2)
+    index = {node: i for i, node in enumerate(spec.roster())}
+    transitions: dict = {}
+    for e in sorted(events, key=lambda e: e.time):
+        downs_ups = transitions.setdefault(round(e.time / spec.tick_s), ([], []))
+        downs_ups[e.up].append((index[e.a], index[e.b]))
+    return ContactPlan(spec, 1, transitions, [])
+
+
 def test_contact_writer_orders_by_time_then_endpoints() -> None:
     events = [
         _contact(1.20, "c3", "c4", True),
@@ -116,7 +129,7 @@ def test_contact_writer_orders_by_time_then_endpoints() -> None:
         _contact(2.00, "p9", "c1", True),
         _contact(2.00, "a0", "h1", True),
     ]
-    lines = contact_log_lines(events)
+    lines = contact_log_lines(plan_of(events))
     assert lines == [
         "@0.10 p1 <-> p5 up",
         "@0.10 p2 <-> c9 up",

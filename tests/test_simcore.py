@@ -12,11 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dtnlab import simcore
 from dtnlab.mobility import FixedPost, MapGraph, Wanderer, save_map
 from dtnlab.nodes import NodeClass, NodeId
 from dtnlab.pipeline import LOG_FILES, write_run
 from dtnlab.reports import (
-    contact_log_lines,
     delivered_log_lines,
     relay_log_lines,
     residency_log_lines,
@@ -31,18 +31,26 @@ from dtnlab.routing import (
     Replica,
     SprayAndWaitRouter,
 )
-from dtnlab.scenario import MapSpec, ScenarioSpec, desk_scenario, with_regime
+from dtnlab.scenario import (
+    ConfigurationError,
+    MapSpec,
+    ScenarioSpec,
+    desk_scenario,
+    with_regime,
+)
 from dtnlab.simcore import (
     NodeBuffer,
     Simulation,
     TrafficSource,
     Transfer,
     build_router,
+    contact_log_lines,
     contact_plan,
     first_tick,
     link_transitions,
     run_simulation,
 )
+from contact_log_reference import contact_log_lines as reference_contact_log_lines
 from engine_reference import run_per_tick
 
 A0 = NodeId.parse("a0")
@@ -54,7 +62,7 @@ P0 = NodeId.parse("p0")
 def log_text(out) -> str:
     """Canonical serialization of all four run logs."""
     lines = (
-        contact_log_lines(out.contact_events)
+        contact_log_lines(out.plan)
         + delivered_log_lines(out.deliveries)
         + relay_log_lines(out.relays)
         + residency_log_lines(out.residencies)
@@ -510,10 +518,10 @@ class TestDeterminism:
         assert [m.id for m in again.messages] == [m.id for m in desk_out.messages]
 
     def test_contact_process_is_protocol_independent(self, desk_spec, desk_out):
-        spray_contacts = contact_log_lines(desk_out.contact_events)
+        spray_contacts = contact_log_lines(desk_out.plan)
         for router in ("Epidemic", "RandomRouter"):
             other = run_simulation(desk_spec, router, seed=3)
-            assert contact_log_lines(other.contact_events) == spray_contacts
+            assert contact_log_lines(other.plan) == spray_contacts
             assert [(m.id, m.size, m.dest) for m in other.messages] == [
                 (m.id, m.size, m.dest) for m in desk_out.messages
             ]
@@ -817,6 +825,76 @@ class TestBlockContactProcess:
         assert peak < 3_000_000
 
 
+def c01_scenarios():
+    """The (spec, seed) pairs of acceptance criterion c01."""
+    rng = random.Random(101)
+    for _ in range(20):
+        p, c = rng.randint(3, 7), rng.randint(3, 7)
+        regime = rng.choice(("weekday", "holiday"))
+        rng.choice(("SprayAndWait", "RandomRouter", "Epidemic"))
+        seed = rng.randint(1, 10_000)
+        duration = rng.choice((300.0, 450.0, 600.0))
+        yield with_regime(desk_scenario(p, c, duration_s=duration), regime), seed
+
+
+class TestContactLog:
+    """The contact log is rendered from the plan's node indices; it must
+    equal, byte for byte, the frozen renderer over the plan's ContactEvents."""
+
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            pytest.param(lambda: list(c01_scenarios()), id="c01"),
+            pytest.param(
+                lambda: [(spec, seed) for spec in BLOCK_CASES.values() for seed in (1, 2)],
+                id="block_cases",
+            ),
+            pytest.param(
+                lambda: [
+                    (with_regime(desk_scenario(70, 70, duration_s=600.0), regime), seed)
+                    for regime in ("weekday", "holiday")
+                    for seed in (1, 2)
+                ],
+                id="desk_P70_C70",
+            ),
+        ],
+    )
+    def test_rendering_equals_the_reference_renderer(self, cases):
+        closing = 0
+        for spec, seed in cases():
+            plan = contact_plan(spec, seed)
+            assert contact_log_lines(plan) == reference_contact_log_lines(plan.contact_events)
+            closing += len(plan.linked_at_end)
+        assert closing > 0  # links still up at the end were rendered too
+
+    def test_a_run_and_its_write_build_no_contact_event(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ContactEvent was built")
+
+        spec = desk_scenario(10, 10, duration_s=600.0)
+        monkeypatch.setattr(simcore, "ContactEvent", refuse)
+        out = run_simulation(spec, "SprayAndWait", 1)
+        write_run(tmp_path, out, spec)
+        assert "contact_events" not in vars(out.plan)
+        assert (tmp_path / LOG_FILES["contacts"]).read_text().count("\n") > 0
+        monkeypatch.undo()
+        assert out.contact_events is out.plan.contact_events  # built once, then kept
+
+    def test_plan_memory_per_simulated_hour(self):
+        spec = desk_scenario(70, 70, duration_s=600.0)
+        contact_plan(spec, 1)  # warm the map's path trees and the per-N pair cache
+        tracemalloc.start()
+        try:
+            plan = contact_plan(spec, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plan.transitions
+        # 22.96 MB per hour measured (33797 transitions in 600 s); the plan
+        # that also held its ContactEvents measured 38.6 MB
+        assert held * 3600.0 / spec.duration_s < 30_000_000
+
+
 # ------------------------------------------------------------ decision cache
 
 
@@ -1002,13 +1080,13 @@ class TestEventStepping:
                 (95.05, "expired"),
             ]
 
-    def test_an_infinite_ttl_is_never_due(self):
-        # scenario validation accepts an infinite ttl_s: no tick reaches it
+    def test_an_infinite_ttl_is_refused(self):
+        # no tick would reach it, and the first delivery's remainingTtl
+        # (whole minutes left) could not be computed
         spec = replace(desk_scenario(4, 4, duration_s=300.0), ttl_s=math.inf)
-        for stepped, _, reference in stepped_and_per_tick(spec, 1):
-            assert_same_run(stepped, reference)
-            assert stepped.messages
-            assert all(r.reason != "expired" for r in stepped.residencies)
+        for run in (run_simulation, run_per_tick):
+            with pytest.raises(ConfigurationError, match="^traffic.ttl_s must be finite$"):
+                run(spec, "SprayAndWait", 1)
 
 
 # ------------------------------------------------------------ traffic source
