@@ -39,7 +39,8 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
     online.  Contact features count completed contacts only; the engine
     closes every link it opens, the last ones at end of run.  The two
     delivery averages stay None for nodes that never relayed a delivered
-    message.
+    message.  Logs that disagree with each other or name a node outside
+    `nodes` are refused (ValueError).
     """
     stats = {str(n): NodeStats() for n in nodes}
     open_at: dict[tuple[str, str], float] = {}
@@ -48,6 +49,8 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
         if ev.up:
             if key in open_at:
                 raise ValueError(f"link {key[0]}-{key[1]} raised while already up")
+            if key[0] not in stats or key[1] not in stats:
+                raise ValueError(f"link {key[0]}-{key[1]} names a node not in the run")
             open_at[key] = ev.time
         else:
             if key not in open_at:
@@ -59,6 +62,9 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
         raise ValueError(f"{len(open_at)} contact(s) never closed")
 
     for rec in deliveries:
+        strangers = [str(hop) for hop in rec.path if str(hop) not in stats]
+        if strangers:
+            raise ValueError(f"delivery of {rec.message_id} names {strangers[0]}, not in the run")
         for hop in rec.path[1:-1]:
             stats[str(hop)].record_relayed_delivery(rec.hopcount, rec.delivery_time)
         stats[str(rec.to_host)].as_dest += 1

@@ -170,12 +170,13 @@ class RunRecord:
 
 def read_run(run_dir: str | Path) -> RunRecord:
     """The run directory's logs, metrics and manifest.  A missing directory
-    or file, a malformed log line and a file that is not the JSON it should
-    be are refused by name (ConfigurationError)."""
+    or file, a malformed log line, a file that is not the JSON it should be
+    and a manifest without the fields a dataset reads are refused by name
+    (ConfigurationError)."""
     run = Path(run_dir)
     if not run.is_dir():
         raise ConfigurationError(f"run directory not found: {run}")
-    manifest = _read_json(_run_file(run, "manifest.json"))
+    manifest = _read_manifest(_run_file(run, "manifest.json"))
     return RunRecord(
         manifest=manifest,
         contacts=_read_log(run, LOG_FILES["contacts"], parse_contact_lines),
@@ -208,14 +209,32 @@ def _read_json(path: Path):
         raise ConfigurationError(f"{path}: not JSON: {err}") from err
 
 
-def _read_metrics(path: Path) -> RunMetrics:
+def _read_object(path: Path, fields: Iterable[str]) -> dict:
+    """The JSON object in the file, refused by name unless it has every field."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: not a JSON object")
-    missing = [name for name in RunMetrics.__dataclass_fields__ if name not in data]
+    missing = [name for name in fields if name not in data]
     if missing:
         raise ConfigurationError(f"{path}: missing {', '.join(missing)}")
-    return RunMetrics.from_dict(data)
+    return data
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest, with the fields dataset_from_runs reads checked."""
+    data = _read_object(path, ("scenario", "regime", "seed", "nodes"))
+    if not isinstance(data["nodes"], list):
+        raise ConfigurationError(f"{path}: nodes is not a list")
+    for name in data["nodes"]:
+        try:
+            NodeId.parse(name)
+        except (TypeError, ValueError):  # not a string, or not a node's name
+            raise ConfigurationError(f"{path}: nodes: not a node name: {name!r}") from None
+    return data
+
+
+def _read_metrics(path: Path) -> RunMetrics:
+    return RunMetrics.from_dict(_read_object(path, RunMetrics.__dataclass_fields__))
 
 
 def dataset_from_runs(
@@ -227,7 +246,10 @@ def dataset_from_runs(
         record = read_run(run_dir)
         m = record.manifest
         cohort = f"{m['scenario']}:{m['regime']}:s{m['seed']}"
-        rows = extract_features(record.nodes, record.contacts, record.deliveries)
+        try:
+            rows = extract_features(record.nodes, record.contacts, record.deliveries)
+        except ValueError as err:  # logs that disagree with each other or the manifest
+            raise ConfigurationError(f"run directory {run_dir}: {err}") from err
         scenario_rows.append((cohort, rows))
     return assemble_dataset(scenario_rows, seed=seed, test_fraction=test_fraction)
 

@@ -15,9 +15,9 @@ delivered-messages report, header line then one line per delivery::
 Times carry two decimals in the connectivity trace and four in the delivered
 report.  remainingTtl is whole minutes.  The connectivity writer is
 simcore.contact_log_lines, which renders a contact plan straight from its
-node indices in (time, a, b) order; parsers keep file order and report
-1-based line numbers on malformed input.  Relay and buffer logs are
-auxiliary formats local to this package.
+(tick, a, b, up) columns in (time, a, b) order; parsers keep file order
+and report 1-based line numbers on malformed input.  Relay and buffer logs
+are auxiliary formats local to this package.
 """
 
 from __future__ import annotations

@@ -7,13 +7,14 @@ protocols over the same seed stay comparable.
 
 The contact process comes first: `contact_plan` moves the walkers a block
 of ticks at a time, measures over each block only the pairs that can be
-linked in it, and reads each tick's link transitions, ordered by node-index
-pair (i < j, row major), off the block's state flips.  The plan keeps them
-as node indices, with the pairs still linked at the end; `contact_log_lines`
-renders the contact log straight from those indices, and the plan builds
-the same log as ContactEvents only when asked.  The plan reads no engine
-state, so every protocol run over one (scenario, seed) replays the same plan
-and writes the same contact log.
+linked in it, and reads the link transitions off the block's state flips.
+The plan holds them as four columns (tick, a, b, up), a row per transition
+in (tick, up, a, b) order, then the pairs still linked at the end as
+closing downs.  The engine replays it through `ContactPlan.steps`,
+`contact_log_lines` renders the contact log from the columns, and the plan
+builds the same log as ContactEvents only when asked.  The plan reads no
+engine state, so every protocol run over one (scenario, seed) replays the
+same plan and writes the same contact log.
 
 The engine visits only the ticks that can change its state.  Tick k has the
 time round(k * tick_s, 4), and a visited tick processes, in this order:
@@ -51,7 +52,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -194,42 +195,56 @@ BLOCK_TICKS = 100
 CANDIDATE_SKIN_M = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields leave a generated __eq__ ambiguous
 class ContactPlan:
-    """The link transitions of one (scenario, seed), for any protocol to replay:
-    a tick number (1 is the first) maps to that tick's (downs, ups) node-index
-    pairs, and ticks without a transition are left out.  linked_at_end lists
-    the pairs still linked after the last tick, each closed by a down at the
-    end of the run.  That is the contact log of every run that replays the
-    plan: contact_log_lines renders it from these node indices, and
-    contact_events builds it as ContactEvents (each tick's downs, then its
-    ups, then the closing downs) once, on first use."""
+    """The link transitions of one (scenario, seed), for any protocol to replay,
+    as four columns with a row per transition: the tick (1 is the first), the
+    node indices a < b of the pair, and whether it came up.  Rows are in (tick,
+    up, a, b) order, so a tick's downs come before its ups; the pairs still
+    linked after the last tick follow as downs at tick n_ticks + 1, stamped
+    with the end of the run.  That is the contact log of every run that
+    replays the plan: the engine reads it through steps(), contact_log_lines
+    renders it, and contact_events builds it as ContactEvents, once, on first
+    use."""
 
     spec: ScenarioSpec
     seed: int
-    transitions: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
-    linked_at_end: list[tuple[int, int]]
+    tick: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    up: np.ndarray
 
-    def log_groups(self) -> list[tuple[float, list[tuple[int, int]], list[tuple[int, int]]]]:
-        """The contact log as (time, downs, ups) groups: one per tick with a
-        transition, in plan order, then the closing downs at the end."""
-        tick_s = self.spec.tick_s
-        groups = [
-            (round(round(k * tick_s, 4), 2), downs, ups)
-            for k, (downs, ups) in self.transitions.items()
+    def steps(self) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]]:
+        """(k, downs, ups) for each tick k of the run with a transition, the
+        downs and ups as slices of one list of (a, b) pairs."""
+        n_ticks = round(self.spec.duration_s / self.spec.tick_s)
+        end = int(np.searchsorted(self.tick, n_ticks, "right"))  # the closing rows follow
+        tick = self.tick[:end]
+        starts = np.flatnonzero(np.diff(tick, prepend=0))  # each tick's first row
+        splits = np.searchsorted(tick * 2 + self.up[:end], tick[starts] * 2 + 1)  # its first up
+        pairs = list(zip(self.a[:end].tolist(), self.b[:end].tolist()))
+        bounds = starts.tolist() + [end]
+        for k, lo, mid, hi in zip(tick[starts].tolist(), bounds, splits.tolist(), bounds[1:]):
+            yield k, pairs[lo:mid], pairs[mid:hi]
+
+    def times(self) -> tuple[list[float], np.ndarray]:
+        """The log time of each distinct tick, and each row's index into them.
+        A tick's time is round(k * tick_s, 4) to two places; the closing rows
+        take the end of the run."""
+        ticks, row_time = np.unique(self.tick, return_inverse=True)
+        tick_s, n_ticks = self.spec.tick_s, round(self.spec.duration_s / self.spec.tick_s)
+        times = [
+            round(round(k * tick_s, 4), 2) if k <= n_ticks else round(self.spec.duration_s, 2)
+            for k in ticks.tolist()
         ]
-        groups.append((round(self.spec.duration_s, 2), self.linked_at_end, []))
-        return groups
+        return times, row_time
 
     @cached_property
     def contact_events(self) -> list[ContactEvent]:
         nodes = self.spec.roster()
-        return [
-            ContactEvent(time, nodes[i], nodes[j], up)
-            for time, downs, ups in self.log_groups()
-            for up, part in ((False, downs), (True, ups))
-            for i, j in part
-        ]
+        times, row_time = self.times()
+        rows = zip(row_time.tolist(), self.a.tolist(), self.b.tolist(), self.up.tolist())
+        return [ContactEvent(times[t], nodes[a], nodes[b], up) for t, a, b, up in rows]
 
 
 def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
@@ -241,10 +256,11 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
     block start or if the bounding boxes of its two nodes over the block come
     within range.  The candidates are measured over the whole block at once,
     and the block's transitions are read off where a candidate's state flips
-    from one tick to the next, in (tick, pair) order.  A block with a flip
+    from one tick to the next, as (tick, pair, up) rows.  A block with a flip
     then calls link_transitions once, restricted to the candidates, on its
     last positions: that gives the links at the block end, from which the
-    next block's candidate test starts.  The transitions are those of a
+    next block's candidate test starts.  One stable lexsort puts the rows and
+    the closing downs in plan order.  The transitions are those of a
     tick-by-tick walk that measures every pair on every tick.
     """
     graph = spec.validate()
@@ -284,7 +300,7 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
     in_range = np.zeros((len(nodes), len(nodes)), dtype=bool)
     range2 = spec.range_m * spec.range_m
     reach2 = (spec.range_m + CANDIDATE_SKIN_M) ** 2
-    transitions = {}
+    parts = []  # (tick, pair, up) columns of each block with a flip
     ticks = round(spec.duration_s / spec.tick_s)
     for first in range(1, ticks + 1, BLOCK_TICKS):
         here = block[: min(BLOCK_TICKS, ticks + 1 - first)]
@@ -315,17 +331,13 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
         if not len(ts):
             continue
         in_range = link_transitions(here[-1], range2, in_range, pairs=pairs)[0]
-        for k, i, j, up in zip(
-            (ts + first).tolist(),
-            pairs[0][cs].tolist(),
-            pairs[1][cs].tolist(),
-            linked[ts, cs].tolist(),
-        ):
-            if k not in transitions:
-                transitions[k] = ([], [])
-            transitions[k][up].append((i, j))  # (downs, ups)
-    rows, cols = np.triu(in_range, 1).nonzero()  # row major, so in (i, j) order
-    return ContactPlan(spec, seed, transitions, list(zip(rows.tolist(), cols.tolist())))
+        parts.append((ts + first, cand[cs], linked[ts, cs]))
+    closing = in_range.take(flat).nonzero()[0]  # still linked: down at tick ticks + 1
+    parts.append((np.full(len(closing), ticks + 1), closing, np.zeros(len(closing), bool)))
+    tick, pair, up = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((pair, up, tick))  # stable: by tick, then up, then pair
+    pair = pair[order]
+    return ContactPlan(spec, seed, tick[order], rows[pair], cols[pair], up[order])
 
 
 def contact_log_lines(plan: ContactPlan) -> list[str]:
@@ -338,25 +350,13 @@ def contact_log_lines(plan: ContactPlan) -> list[str]:
     names = [str(node) for node in nodes]
     rank = np.empty(len(nodes), dtype=np.int64)
     rank[sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key)] = np.arange(len(nodes))
-    groups = plan.log_groups()
-    parts = [part for _, downs, ups in groups for part in (downs, ups)]
-    ab = np.array([pair for part in parts for pair in part], dtype=np.int64).reshape(-1, 2)
-    # each event's part: part 2g holds group g's downs and part 2g + 1 its ups
-    event_part = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-    group, up = event_part // 2, event_part % 2
-    times = np.array([time for time, _, _ in groups])
-    order = np.lexsort((rank[ab[:, 0]] * len(nodes) + rank[ab[:, 1]], times[group]))
-    stamps = [f"@{time:.2f}" for time, _, _ in groups]
+    times, row_time = plan.times()
+    # by time, not tick: the closing downs share a stamp with the last tick
+    order = np.lexsort((rank[plan.a] * len(nodes) + rank[plan.b], np.array(times)[row_time]))
+    stamps = [f"@{time:.2f}" for time in times]
     states = ("down", "up")
-    return [
-        f"{stamps[g]} {names[a]} <-> {names[b]} {states[u]}"
-        for g, a, b, u in zip(
-            group[order].tolist(),
-            ab[order, 0].tolist(),
-            ab[order, 1].tolist(),
-            up[order].tolist(),
-        )
-    ]
+    rows = zip(*(column[order].tolist() for column in (row_time, plan.a, plan.b, plan.up)))
+    return [f"{stamps[t]} {names[a]} <-> {names[b]} {states[u]}" for t, a, b, u in rows]
 
 
 class NodeBuffer:
@@ -513,12 +513,12 @@ class Simulation:
     def run(self) -> SimOutput:
         if self.plan is None:
             self.plan = contact_plan(self.spec, self.seed)
-        transitions = self.plan.transitions
-        plan_ticks = iter(sorted(transitions))
+        steps = self.plan.steps()
         tick_s = self.spec.tick_s
         n_ticks = self.n_ticks
         last = round(n_ticks * tick_s, 4)  # a time after it is never due
-        next_plan = next(plan_ticks, n_ticks + 1)
+        idle = (n_ticks + 1, (), ())
+        next_plan, downs, ups = next(steps, idle)
         k = 0
         while k < n_ticks:
             if self._transferring or next_plan == k + 1:
@@ -533,11 +533,10 @@ class Simulation:
                 if k > n_ticks:
                     break
             if k == next_plan:
-                downs, ups = transitions[k]
-                next_plan = next(plan_ticks, n_ticks + 1)
+                self._tick(round(k * tick_s, 4), downs, ups)
+                next_plan, downs, ups = next(steps, idle)
             else:
-                downs = ups = ()
-            self._tick(round(k * tick_s, 4), downs, ups)
+                self._tick(round(k * tick_s, 4), (), ())
         self._finish(round(self.spec.duration_s, 4))
         return SimOutput(
             scenario=self.spec.name,

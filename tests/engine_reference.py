@@ -25,9 +25,10 @@ class PerTickSimulation(Simulation):
     def run(self) -> SimOutput:
         if self.plan is None:
             self.plan = contact_plan(self.spec, self.seed)
+        transitions = dict((k, (downs, ups)) for k, downs, ups in self.plan.steps())
         for k in range(1, self.n_ticks + 1):
             now = round(k * self.spec.tick_s, 4)
-            self._tick(now, *self.plan.transitions.get(k, ((), ())))
+            self._tick(now, *transitions.get(k, ((), ())))
         self._finish(round(self.spec.duration_s, 4))
         return SimOutput(
             scenario=self.spec.name,

@@ -433,6 +433,10 @@ def test_cli_import_leaves_requests_out():
     assert result.stdout.strip() == "[]"
 
 
+def first_up(lines: list[str]) -> str:
+    return next(line for line in lines if line.endswith(" up"))
+
+
 class TestExtract:
     def test_prints_cohort_counts_and_balance(self, workspace, capsys):
         rc = main(
@@ -514,6 +518,60 @@ class TestExtract:
         ):
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith(f"error: {run / 'metrics.json'}: ")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            # cut at a line boundary, half way through the run
+            (lambda lines: lines[: len(lines) // 2], "contact(s) never closed"),
+            # the first up dropped: its pair's down comes with no up before it
+            (
+                lambda lines: [line for line in lines if line != first_up(lines)],
+                "dropped while down",
+            ),
+            (lambda lines: [first_up(lines), *lines], "raised while already up"),
+            (
+                lambda lines: [*lines, "@1.00 p1 <-> p98 up"],
+                "link p1-p98 names a node not in the run",
+            ),
+        ],
+        ids=["cut", "down_without_up", "duplicated_up", "node_not_in_manifest"],
+    )
+    def test_contact_log_that_disagrees_exits_2_naming_the_run(
+        self, edit, reason, workspace, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run1", run)
+        lines = (run / "connectivity.txt").read_text().splitlines()
+        (run / "connectivity.txt").write_text("\n".join(edit(lines)) + "\n")
+        assert main(["extract", "--logs", str(run), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run directory {run}: ") and reason in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda manifest: manifest.pop("seed"), "missing seed"),
+            (
+                lambda manifest: manifest["nodes"].__setitem__(3, "x3"),
+                "nodes: not a node name: 'x3'",
+            ),
+            (lambda manifest: manifest["nodes"].__setitem__(3, 3), "nodes: not a node name: 3"),
+            (lambda manifest: manifest.__setitem__("nodes", "p0"), "nodes is not a list"),
+        ],
+        ids=["no_seed", "unknown_prefix", "number", "not_a_list"],
+    )
+    def test_manifest_without_what_extract_reads_exits_2_naming_it(
+        self, edit, reason, workspace, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run1", run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        edit(manifest)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["extract", "--logs", str(run), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: {run / 'manifest.json'}: {reason}\n"
 
 
 class TestTrainAndTune:

@@ -115,6 +115,13 @@ class TestExtraction:
         with pytest.raises(ValueError, match="never closed"):
             extract_features(NODES, [contact(1.0, P0, P1, True)], [])
 
+    def test_a_node_outside_the_run_is_refused(self):
+        stranger = NodeId.parse("p98")
+        with pytest.raises(ValueError, match="^link p0-p98 names a node not in the run$"):
+            extract_features(NODES, [contact(1.0, P0, stranger, True)], [])
+        with pytest.raises(ValueError, match="^delivery of AC0 names p98, not in the run$"):
+            extract_features(NODES, [], [delivery("AC0", [A0, stranger, H0], 60.0)])
+
     def test_matches_independent_recount_on_a_real_run(self, desk_run):
         _, out = desk_run
         assert out.deliveries  # the oracle should see some relay traffic

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from dtnlab.nodes import NodeClass, NodeId
@@ -107,15 +108,13 @@ def test_delivered_header_exact() -> None:
 
 
 def plan_of(events: list[ContactEvent]) -> ContactPlan:
-    """A contact plan on 0.1 s ticks holding these transitions, with no link
-    left open at the end."""
+    """A contact plan on 0.1 s ticks holding these transitions as its rows, in
+    (tick, up, a, b) order, with no link left open at the end."""
     spec = ScenarioSpec(pedestrians=11, cars=10, hospitals=2)
     index = {node: i for i, node in enumerate(spec.roster())}
-    transitions: dict = {}
-    for e in sorted(events, key=lambda e: e.time):
-        downs_ups = transitions.setdefault(round(e.time / spec.tick_s), ([], []))
-        downs_ups[e.up].append((index[e.a], index[e.b]))
-    return ContactPlan(spec, 1, transitions, [])
+    rows = sorted((round(e.time / spec.tick_s), e.up, index[e.a], index[e.b]) for e in events)
+    tick, up, a, b = (np.array(column) for column in zip(*rows))
+    return ContactPlan(spec, 1, tick, a, b, up)
 
 
 def test_contact_writer_orders_by_time_then_endpoints() -> None:

@@ -669,9 +669,8 @@ class TestContactPlan:
         else:
             spec = replace(desk_scenario(12, 12, duration_s=1800.0), **URBAN)
         plan = run_simulation(spec, "Epidemic", seed=8).plan
-        assert plan.transitions and all(
-            downs or ups for downs, ups in plan.transitions.values()
-        )
+        steps = list(plan.steps())
+        assert steps and all(downs or ups for _, downs, ups in steps)
         for router in ("SprayAndWait", "MLPBasedRouter", "RandomRouter", "Epidemic"):
             fresh, replayed = (
                 run_simulation(spec, router, 8, predictor=ByContactsAndDegree(), plan=given)
@@ -709,9 +708,15 @@ class TestContactPlan:
         assert moved.validate().coords[1] == (20.0, 0.0)
 
 
+def transitions_of(plan) -> dict:
+    """The plan's (downs, ups) by tick, for each tick of the run with a transition."""
+    return {k: (downs, ups) for k, downs, ups in plan.steps()}
+
+
 def tick_by_tick_plan(spec: ScenarioSpec, seed: int):
     """The contact process the plan must equal: every walker advanced on
-    every tick, then every pair measured; (transitions, positions per tick)."""
+    every tick, then every pair measured; (transitions by tick, the pairs
+    still linked after the last tick)."""
     graph = spec.validate()
     nodes = spec.roster()
     rng = random.Random(f"{seed}:mobility")
@@ -749,7 +754,8 @@ def tick_by_tick_plan(spec: ScenarioSpec, seed: int):
         in_range, ups, downs = link_transitions(positions, spec.range_m**2, in_range)
         if ups or downs:
             transitions[k] = (downs, ups)
-    return transitions
+    rows, cols = np.triu(in_range, 1).nonzero()  # row major, so in (i, j) order
+    return transitions, list(zip(rows.tolist(), cols.tolist()))
 
 
 def tiny_grid_spec(**overrides) -> ScenarioSpec:
@@ -792,6 +798,8 @@ BLOCK_CASES = {
     "urban_holiday": with_regime(
         replace(desk_scenario(12, 12, duration_s=900.0), **URBAN), "holiday"
     ),
+    # the full-grid population: 170 nodes, a transition on most ticks
+    "city_scale": with_regime(desk_scenario(90, 80, duration_s=60.0), "weekday"),
 }
 
 
@@ -799,18 +807,29 @@ class TestBlockContactProcess:
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_plan_equals_the_tick_by_tick_walk(self, name):
         spec = BLOCK_CASES[name]
+        n_ticks = round(spec.duration_s / spec.tick_s)
         for seed in (1, 2):
-            assert contact_plan(spec, seed).transitions == tick_by_tick_plan(spec, seed)
+            plan = contact_plan(spec, seed)
+            transitions, linked_at_end = tick_by_tick_plan(spec, seed)
+            assert transitions_of(plan) == transitions
+            closing = plan.tick > n_ticks
+            assert (plan.tick[closing] == n_ticks + 1).all() and not plan.up[closing].any()
+            assert list(zip(plan.a[closing].tolist(), plan.b[closing].tolist())) == linked_at_end
+            # the rows are in (tick, up, a, b) order, each pair with a < b
+            order = np.lexsort((plan.b, plan.a, plan.up, plan.tick))
+            assert (order == np.arange(len(plan.tick))).all()
+            assert (plan.a < plan.b).all()
 
     def test_exact_arrivals_and_boundary_distance_are_exercised(self):
         assert 2.5 * 0.1 == 0.25 and 1.0 - 0.25 - 0.25 - 0.25 == 0.25
         plan = contact_plan(tiny_grid_spec(), 1)
         # a0 (vertex 0), h0 (vertex 1) and h1 (vertex 7) stand still; a0-h0 and
         # h0-h1 are exactly range_m apart, a0-h1 is farther, all from tick 1
-        downs, ups = plan.transitions[1]
+        transitions = transitions_of(plan)
+        downs, ups = transitions[1]
         a0, h0, h1 = 6, 7, 8
         assert (a0, h0) in ups and (h0, h1) in ups and (a0, h1) not in ups
-        assert all((a0, h0) not in d and (h0, h1) not in d for d, _ in plan.transitions.values())
+        assert all((a0, h0) not in d and (h0, h1) not in d for d, _ in transitions.values())
 
     def test_contact_plan_memory_stays_one_block(self):
         spec = desk_scenario(4, 4, duration_s=7200.0)
@@ -864,7 +883,7 @@ class TestContactLog:
         for spec, seed in cases():
             plan = contact_plan(spec, seed)
             assert contact_log_lines(plan) == reference_contact_log_lines(plan.contact_events)
-            closing += len(plan.linked_at_end)
+            closing += int((plan.tick > round(spec.duration_s / spec.tick_s)).sum())
         assert closing > 0  # links still up at the end were rendered too
 
     def test_a_run_and_its_write_build_no_contact_event(self, tmp_path, monkeypatch):
@@ -889,10 +908,12 @@ class TestContactLog:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert plan.transitions
-        # 22.96 MB per hour measured (33797 transitions in 600 s); the plan
-        # that also held its ContactEvents measured 38.6 MB
-        assert held * 3600.0 / spec.duration_s < 30_000_000
+        assert len(plan.tick)
+        # 5.17 MB per hour measured (33797 transitions and 399 closing downs
+        # in 600 s, as four columns); the plan that kept each tick's
+        # transitions as lists of tuples measured 22.96 MB, and the one that
+        # also held its ContactEvents 38.6 MB
+        assert held * 3600.0 / spec.duration_s < 8_000_000
 
 
 # ------------------------------------------------------------ decision cache
@@ -1073,7 +1094,7 @@ class TestEventStepping:
         spec = static_pair_spec(tmp_path, 500.0, duration_s=100.0, ttl_s=5.05)
         for stepped, _, reference in stepped_and_per_tick(spec, 1):
             assert_same_run(stepped, reference)
-            assert stepped.plan.transitions == {}
+            assert not len(stepped.plan.tick) and not list(stepped.plan.steps())
             assert [(r.time, r.reason) for r in stepped.residencies] == [
                 (35.05, "expired"),
                 (65.05, "expired"),
