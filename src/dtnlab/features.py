@@ -35,15 +35,18 @@ class NotFittedError(RuntimeError):
 def extract_features(nodes, contact_events, deliveries) -> list[dict]:
     """Per-node relay statistics for every mobile node, from the run logs.
 
-    The logs are replayed into the same NodeStats counters the engine keeps
-    online.  Contact features count completed contacts only; the engine
-    closes every link it opens, the last ones at end of run.  The two
+    The logs are replayed into NodeStats counters: the contact ones count
+    what the contact plan counts for the relay gate, the delivery ones what
+    the engine keeps online.  Contact features count completed contacts
+    only; the engine closes every link it opens, the last ones at end of
+    run.  The two
     delivery averages stay None for nodes that never relayed a delivered
-    message.  Logs that disagree with each other or name a node outside
-    `nodes` are refused (ValueError).
+    message.  Logs that disagree with each other, go back in time or name
+    a node outside `nodes` are refused (ValueError).
     """
     stats = {str(n): NodeStats() for n in nodes}
     open_at: dict[tuple[str, str], float] = {}
+    last = float("-inf")
     for ev in contact_events:
         key = tuple(sorted((str(ev.a), str(ev.b))))
         if ev.up:
@@ -58,6 +61,9 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
             length = ev.time - open_at.pop(key)
             stats[key[0]].record_contact(key[1], length)
             stats[key[1]].record_contact(key[0], length)
+        if ev.time < last:
+            raise ValueError(f"contact log goes back in time: @{ev.time:.2f} after @{last:.2f}")
+        last = ev.time
     if open_at:
         raise ValueError(f"{len(open_at)} contact(s) never closed")
 

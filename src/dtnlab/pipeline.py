@@ -127,11 +127,24 @@ def config_digest(spec: ScenarioSpec) -> str:
     return hashlib.sha256(scenario_ini(spec).encode()).hexdigest()
 
 
-def write_run(out_dir: str | Path, output: SimOutput, spec: ScenarioSpec) -> RunMetrics:
-    """Persist one simulation as logs + metrics + manifest; returns the metrics."""
+def write_run(
+    out_dir: str | Path,
+    output: SimOutput,
+    spec: ScenarioSpec,
+    *,
+    contacts_from: Path | None = None,
+) -> RunMetrics:
+    """Persist one simulation as logs + metrics + manifest; returns the metrics.
+
+    contacts_from names a run directory written from the same contact plan,
+    whose contact log is copied instead of rendered again."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_lines(contact_log_lines(output.plan), out / LOG_FILES["contacts"])
+    contacts = out / LOG_FILES["contacts"]
+    if contacts_from is None:
+        write_lines(contact_log_lines(output.plan), contacts)
+    else:
+        contacts.write_bytes((contacts_from / LOG_FILES["contacts"]).read_bytes())
     write_lines(delivered_log_lines(output.deliveries), out / LOG_FILES["deliveries"])
     write_lines(relay_log_lines(output.relays), out / LOG_FILES["relays"])
     write_lines(residency_log_lines(output.residencies), out / LOG_FILES["residencies"])
@@ -320,7 +333,7 @@ def run_sweep(
 
     Every protocol in a cell sees the same mobility and traffic streams: the
     first protocol of a (scenario, regime, seed) builds its contact plan and
-    the others replay it.
+    renders its contact log, and the others replay the plan and copy the log.
     """
     for protocol in config.protocols:
         if protocol not in ROUTER_NAMES:
@@ -335,6 +348,7 @@ def run_sweep(
             cell_spec = with_regime(spec, regime)
             for seed in config.seeds:
                 plan = None  # built by the first protocol's run
+                first_run = None  # whose contact log the others copy
                 for protocol in config.protocols:
                     if progress:
                         progress(f"{spec.name} {regime} {protocol} seed {seed}")
@@ -348,7 +362,8 @@ def run_sweep(
                     )
                     plan = output.plan
                     run_dir = out / spec.name / regime / protocol / f"seed{seed}"
-                    metrics = write_run(run_dir, output, cell_spec)
+                    metrics = write_run(run_dir, output, cell_spec, contacts_from=first_run)
+                    first_run = first_run or run_dir
                     cells[(spec.name, regime, protocol, seed)] = metrics
     scenario_names = [spec.name for spec in config.scenarios]
     aggregates = summarize_cells(cells, scenario_names, config.regimes, config.protocols)

@@ -13,18 +13,23 @@ decisions over the sender's buffered replicas:
   predictor cannot be reached the router falls back to the plain spray
   decision and counts the event.
 
-Peer statistics travel in the summary-vector handshake.  An observer's view
-of a peer combines its own completed-contact history with the peer's live
-counters, read at the decision point of the current contact: the pairwise
-contact features count only completed contacts with that peer, and a peer
-that has not yet relayed a delivered message falls back to the shipped
-training medians for the two delivery averages.
+The engine runs the summary-vector exchange before a router sees anything:
+an encounter offers only the sender's undecided replicas that the peer
+neither holds nor has been delivered, and the router is consulted only when
+that set is not empty.  Routers judge the replicas they are given.
+
+Peer statistics travel in the same handshake.  An observer's view of a peer
+combines the contacts the two completed with each other and the peer's
+degree, both counted from the contact plan up to the decision point, with
+the peer's live delivery counters: the pairwise contact features count only
+completed contacts with that peer, and a peer that has not yet relayed a
+delivered message falls back to the shipped training medians for the two
+delivery averages.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Protocol
 
@@ -70,10 +75,12 @@ class Predictor(Protocol):
 
 @dataclass
 class NodeStats:
-    """Counters a node maintains about itself while the run progresses.
+    """Counters of one node.
 
-    The engine keeps them live, with partners by node index; extract_features
-    rebuilds them from the logs, with partners by node name.
+    The engine keeps the delivery counters live.  The contact fields are
+    filled only by extract_features, which rebuilds every counter from the
+    logs with partners by node name; the engine reads contact counts from
+    the contact plan instead (ContactPlan.contact_counters).
     """
 
     contacts: int = 0
@@ -111,42 +118,29 @@ class NodeStats:
         self.delay_sum += delay
 
 
-@dataclass
-class PeerHistory:
-    """What one node knows about one peer from completed contacts."""
-
-    completed: int = 0
-    duration_sum: float = 0.0
-
-    def record(self, duration: float) -> None:
-        self.completed += 1
-        self.duration_sum += duration
-
-
 def online_features(
-    history: PeerHistory | None,
+    completed: int,
+    seconds: float,
+    degree: int,
     peer: NodeStats,
     medians: tuple[float, float],
 ) -> RelayQuery:
-    """Build the peer's feature vector from local history plus handshake data.
+    """Build the peer's feature vector from contact counts plus handshake data.
 
-    The peer's own counters arrive in the summary-vector handshake of the
-    current contact, so they are live even on a first meeting.  The two
-    pairwise contact features still require completed contacts with this
-    peer.  medians are the shipped training medians for (avg_hop_count,
-    avg_delivery_time), used whenever the peer has no delivery record yet.
+    completed and seconds are the contacts the observer and the peer have
+    completed with each other and their total length, and degree the
+    number of distinct partners the peer has completed a contact with, all
+    up to the decision point.  The peer's delivery counters arrive in the
+    summary-vector handshake of the current contact, so they are live even
+    on a first meeting.  medians are the shipped training medians for
+    (avg_hop_count, avg_delivery_time), used whenever the peer has no
+    delivery record yet.
     """
-    if history is not None and history.completed:
-        freq = float(history.completed)
-        avg_duration = history.duration_sum / history.completed
-    else:
-        freq = 0.0
-        avg_duration = 0.0
     h_avg, t_delay = peer.h_avg, peer.t_delay
     return RelayQuery(
-        contact_freq=freq,
-        degree=float(peer.degree),
-        avg_contact_duration=avg_duration,
+        contact_freq=float(completed),
+        degree=float(degree),
+        avg_contact_duration=seconds / completed if completed else 0.0,
         avg_hop_count=float(medians[0] if h_avg is None else h_avg),
         avg_delivery_time=float(medians[1] if t_delay is None else t_delay),
         as_relay_count=float(peer.relayed_delivered),
@@ -236,9 +230,9 @@ class Encounter:
 
     now: float
     peer_id: NodeId
-    replicas: list[Replica]  # the sender's undecided replicas, in buffer order
-    peer_has: Container[str]  # message ids in the peer's buffer
-    peer_delivered: Container[str]  # message ids delivered to the peer
+    # the sender's undecided replicas that the peer neither holds nor has
+    # been delivered, in buffer order; never empty
+    replicas: list[Replica]
     peer_relays: bool  # peer class may carry foreign messages
     peer_query: Callable[[], RelayQuery]
 
@@ -249,20 +243,10 @@ class Router:
     def on_contact(self, enc: Encounter) -> list[Action]:
         raise NotImplementedError
 
-    def _offerable(self, enc: Encounter) -> list[Replica]:
-        return [
-            r
-            for r in enc.replicas
-            if r.message.id not in enc.peer_has
-            and r.message.id not in enc.peer_delivered
-        ]
-
     @staticmethod
-    def _dest_first(
-        enc: Encounter, replicas: list[Replica]
-    ) -> tuple[list[Replica], list[Replica]]:
-        to_dest = [r for r in replicas if r.message.dest == enc.peer_id]
-        rest = [r for r in replicas if r.message.dest != enc.peer_id]
+    def _dest_first(enc: Encounter) -> tuple[list[Replica], list[Replica]]:
+        to_dest = [r for r in enc.replicas if r.message.dest == enc.peer_id]
+        rest = [r for r in enc.replicas if r.message.dest != enc.peer_id]
         return to_dest, rest
 
 
@@ -272,7 +256,7 @@ class EpidemicRouter(Router):
     name = "Epidemic"
 
     def on_contact(self, enc: Encounter) -> list[Action]:
-        to_dest, rest = self._dest_first(enc, self._offerable(enc))
+        to_dest, rest = self._dest_first(enc)
         actions = [Action(r.message.id, DELIVER) for r in to_dest]
         if enc.peer_relays:
             actions += [Action(r.message.id, COPY) for r in rest]
@@ -291,7 +275,7 @@ class SprayAndWaitRouter(Router):
         return True
 
     def on_contact(self, enc: Encounter) -> list[Action]:
-        to_dest, rest = self._dest_first(enc, self._offerable(enc))
+        to_dest, rest = self._dest_first(enc)
         actions = [Action(r.message.id, DELIVER) for r in to_dest]
         eligible = [r for r in rest if r.copies > 1] if enc.peer_relays else []
         if eligible and self.relay_gate(enc, eligible):

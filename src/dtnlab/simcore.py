@@ -30,19 +30,30 @@ no arrival and no expiry due, a tick neither starts nor moves anything (a
 queued decision waits only on a transfer in flight), so the audit mode, which
 checks every visited tick, sees every state the run passes through.
 
-The engine keeps the keys of the open link sessions in one sorted list,
-updated by bisection on link up and down, and every phase walks sessions in
-key order and nodes by index; the transfer phases walk only the few sessions
-with a transfer in flight or a queue waiting, sorted out of two key sets.
-That sorted-key list is what pins the event order and makes logs
-byte-identical across repeated runs.
+The engine's work follows the messages, not the contacts.  A link up or
+down only updates the two nodes' sets of linked peers.  Routing consults a
+directed link only when its sender holds something: the link's new ups, in
+plan order, then the links of each node that gained a message this tick,
+nodes by index and each node's peers by index.  A consult takes the
+sender's replicas not yet decided on this link, marks them decided, drops
+those the peer holds or has been delivered (the summary-vector exchange)
+and calls the router only if any are left.  A LinkSession, which keeps the
+decided ids per sender, the queued actions and the transfer, exists only
+once a consult had something to decide.  The transfer phases walk only the
+few sessions with a transfer in flight or a queue waiting, sorted out of two
+key sets.  These fixed orders make logs byte-identical across repeated runs.
+
+The gate's contact counters (completed contacts per pair and their seconds,
+each node's degree) are functions of the contact plan alone, so the plan
+counts them from its columns, once, when a router first asks for a peer's
+features (ContactCounters); a down at tick k counts for decisions at tick k.
 
 Radio model: nodes are linked while their distance is at most the radio
 range.  Transfers are half duplex, one per node at a time, at a fixed link
 rate; a megabyte at 2 Mbps occupies exactly 4.0 s of link uptime.  Aborted
 transfers are discarded whole.  Summary vectors (message ids, delivered ids,
 peer counters) travel cost-free at decision time; each directed decision
-about a message is made once per link session.
+about a message is made once per link contact.
 """
 
 from __future__ import annotations
@@ -50,7 +61,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -70,9 +80,9 @@ from .routing import (
     Message,
     MlGatedRouter,
     NodeStats,
-    PeerHistory,
     Predictor,
     RandomRouter,
+    RelayQuery,
     Replica,
     Router,
     SprayAndWaitRouter,
@@ -205,7 +215,8 @@ class ContactPlan:
     with the end of the run.  That is the contact log of every run that
     replays the plan: the engine reads it through steps(), contact_log_lines
     renders it, and contact_events builds it as ContactEvents, once, on first
-    use."""
+    use.  contact_counters counts the gate's contact features from it, also
+    once, on first use."""
 
     spec: ScenarioSpec
     seed: int
@@ -245,6 +256,67 @@ class ContactPlan:
         times, row_time = self.times()
         rows = zip(row_time.tolist(), self.a.tolist(), self.b.tolist(), self.up.tolist())
         return [ContactEvent(times[t], nodes[a], nodes[b], up) for t, a, b, up in rows]
+
+    @cached_property
+    def contact_counters(self) -> ContactCounters:
+        return ContactCounters(self)
+
+
+class ContactCounters:
+    """The completed contacts of one contact plan, by tick: for each pair the
+    contacts it completed and their total seconds, for each node its degree,
+    the number of distinct partners it completed a contact with.
+
+    A down at tick k counts from tick k on, as the engine runs a tick's
+    downs before its routing; the closing downs count at tick n_ticks + 1,
+    the end of the run.  A contact lasts from the time of its up tick to
+    that of its down tick, round(k * tick_s, 4), and each pair's seconds are
+    summed in plan row order, so they equal a running += over the engine's
+    link downs bit for bit.
+    """
+
+    def __init__(self, plan: ContactPlan) -> None:
+        spec = plan.spec
+        n_ticks = round(spec.duration_s / spec.tick_s)
+        self._n = n = len(spec.roster())
+        ticks, row_tick = np.unique(plan.tick, return_inverse=True)
+        times = np.array(  # the engine's time of each tick, the end of the run for the closing rows
+            [round(k * spec.tick_s, 4) if k <= n_ticks else round(spec.duration_s, 4) for k in ticks.tolist()]
+        )
+        pair = plan.a.astype(np.int64) * n + plan.b
+        # a pair's rows, in plan order, alternate up and down from an up
+        order = np.argsort(pair, kind="stable")
+        ups, downs = order[0::2], order[1::2]
+        lengths = times[row_tick[downs]] - times[row_tick[ups]]
+        # each down by pair, then time: its pair, its tick, the pair's seconds up to it
+        self._pairs = pair[downs]
+        self._ticks = plan.tick[downs]
+        seconds, total, last = [], 0.0, -1
+        for key, length in zip(self._pairs.tolist(), lengths.tolist()):
+            if key != last:
+                total, last = 0.0, key
+            total += length
+            seconds.append(total)
+        self._seconds = np.array(seconds)
+        # each node's partners by the tick of their first completed contact
+        first = np.flatnonzero(np.diff(self._pairs, prepend=-1))
+        nodes = np.concatenate((self._pairs[first] // n, self._pairs[first] % n))
+        first_ticks = np.tile(self._ticks[first], 2)
+        by_node = np.lexsort((first_ticks, nodes))
+        self._first_ticks = first_ticks[by_node]
+        self._node_starts = np.searchsorted(nodes[by_node], np.arange(n + 1)).tolist()
+
+    def pair(self, i: int, j: int, k: int) -> tuple[int, float]:
+        """(contacts completed, their seconds) of nodes i and j by tick k."""
+        key = min(i, j) * self._n + max(i, j)
+        lo, hi = np.searchsorted(self._pairs, (key, key + 1)).tolist()  # the pair's downs
+        completed = int(np.searchsorted(self._ticks[lo:hi], k, "right"))
+        return completed, float(self._seconds[lo + completed - 1]) if completed else 0.0
+
+    def degree(self, node: int, k: int) -> int:
+        """Distinct partners node completed a contact with by tick k."""
+        lo, hi = self._node_starts[node], self._node_starts[node + 1]
+        return int(np.searchsorted(self._first_ticks[lo:hi], k, "right"))
 
 
 def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
@@ -416,9 +488,8 @@ class Transfer:
 
 @dataclass
 class LinkSession:
-    up_since: float
     queue: deque = field(default_factory=deque)  # of (sender, receiver, Action)
-    decided: set = field(default_factory=set)  # of (sender_idx, message_id)
+    decided: dict = field(default_factory=dict)  # sender -> message ids decided
     transfer: Transfer | None = None
 
 
@@ -487,13 +558,13 @@ class Simulation:
         )
 
         self.buffers = [NodeBuffer(spec.buffer_bytes) for _ in range(n)]
-        self.stats = [NodeStats() for _ in range(n)]
-        self.history: list[dict[int, PeerHistory]] = [{} for _ in range(n)]
+        self.stats = [NodeStats() for _ in range(n)]  # the delivery counters
         self.delivered: list[set[str]] = [set() for _ in range(n)]
         # the one transfer each node is part of, as sender or receiver
         self.in_flight: list[Transfer | None] = [None] * n
+        self.linked: list[set[int]] = [set() for _ in range(n)]  # each node's peers
+        # link (i, j), i < j -> its session, once a consult had something to decide
         self.sessions: dict[tuple[int, int], LinkSession] = {}
-        self.session_keys: list[tuple[int, int]] = []  # sorted keys of sessions
         # keys of the sessions with a transfer in flight / with a non-empty queue
         self._transferring: set[tuple[int, int]] = set()
         self._queued: set[tuple[int, int]] = set()
@@ -560,9 +631,9 @@ class Simulation:
         self._new_message_nodes.clear()
         self._progress_transfers(now)
         for i, j in downs:
-            self._link_down(i, j, now)
+            self._link_down(i, j)
         for i, j in ups:
-            self._link_up(i, j, now)
+            self._link_up(i, j)
         self._expire(now)
         for message in self.traffic.poll(now):
             self._create_message(message)
@@ -571,24 +642,18 @@ class Simulation:
         if self.audit is not None:
             self._audit(now)
 
-    def _link_up(self, i: int, j: int, now: float) -> None:
-        self.sessions[(i, j)] = LinkSession(up_since=now)
-        insort(self.session_keys, (i, j))
+    def _link_up(self, i: int, j: int) -> None:
+        self.linked[i].add(j)
+        self.linked[j].add(i)
 
-    def _link_down(self, i: int, j: int, now: float) -> None:
-        session = self.sessions.pop((i, j))
-        del self.session_keys[bisect_left(self.session_keys, (i, j))]
-        self._queued.discard((i, j))
-        if session.transfer is not None:
-            self._release(session)
-        duration = now - session.up_since
-        self._record_contact_end(i, j, duration)
-
-    def _record_contact_end(self, i: int, j: int, duration: float) -> None:
-        self.stats[i].record_contact(j, duration)
-        self.stats[j].record_contact(i, duration)
-        self.history[i].setdefault(j, PeerHistory()).record(duration)
-        self.history[j].setdefault(i, PeerHistory()).record(duration)
+    def _link_down(self, i: int, j: int) -> None:
+        self.linked[i].remove(j)
+        self.linked[j].remove(i)
+        session = self.sessions.pop((i, j), None)
+        if session is not None:
+            self._queued.discard((i, j))
+            if session.transfer is not None:
+                self._release(session)
 
     def _release(self, session: LinkSession) -> None:
         """Detach the session's transfer, finished or aborted; frees both nodes."""
@@ -652,56 +717,67 @@ class Simulation:
     # -------------------------------------------------------------- routing
 
     def _route(self, now: float, ups: Sequence[tuple[int, int]]) -> None:
-        triggers: list[tuple[int, int, int]] = []
+        """Consult each directed link whose sender holds something: both
+        directions of the new links, then the other links of each node that
+        gained a message this tick."""
+        buffers = self.buffers
         for i, j in ups:
-            triggers.append((i, j, i))
-            triggers.append((i, j, j))
-        queued = set(triggers)
+            if buffers[i].entries:
+                self._consult_router(i, j, i, now)
+            if buffers[j].entries:
+                self._consult_router(i, j, j, now)
+        if not self._new_message_nodes:
+            return
+        new_links = set(ups)
         for node in sorted(self._new_message_nodes):
-            for i, j in self.session_keys:
-                if node == i or node == j:
-                    trigger = (i, j, node)
-                    if trigger not in queued:
-                        queued.add(trigger)
-                        triggers.append(trigger)
-        for i, j, sender in triggers:
-            session = self.sessions.get((i, j))
-            if session is None:
+            if not buffers[node].entries:
                 continue
-            self._consult_router(session, i, j, sender, now)
+            for peer in sorted(self.linked[node]):
+                key = (node, peer) if node < peer else (peer, node)
+                if key not in new_links:
+                    self._consult_router(*key, node, now)
 
-    def _consult_router(
-        self, session: LinkSession, i: int, j: int, sender: int, now: float
-    ) -> None:
+    def _consult_router(self, i: int, j: int, sender: int, now: float) -> None:
         receiver = j if sender == i else i
-        decided = session.decided
+        entries = self.buffers[sender].entries
+        session = self.sessions.get((i, j))
+        if session is None:
+            session = self.sessions[(i, j)] = LinkSession()
+            undecided = list(entries)
+            session.decided[sender] = set(undecided)
+        else:
+            decided = session.decided.setdefault(sender, set())
+            undecided = [mid for mid in entries if mid not in decided]
+            decided.update(undecided)
+        # the summary-vector exchange: nothing the peer holds or was delivered
+        held, delivered = self.buffers[receiver].entries, self.delivered[receiver]
         offered = {
-            mid: rep
-            for mid, rep in self.buffers[sender].entries.items()
-            if (sender, mid) not in decided
+            mid: entries[mid] for mid in undecided if mid not in held and mid not in delivered
         }
         if not offered:
             return
-        hist = self.history[sender].get(receiver)
-        peer_stats = self.stats[receiver]
-        medians = self.medians
         enc = Encounter(
             now=now,
             peer_id=self.nodes[receiver],
             replicas=list(offered.values()),
-            peer_has=self.buffers[receiver].entries,
-            peer_delivered=self.delivered[receiver],
             peer_relays=self.relay_eligible[receiver],
-            # counters handed over in the current contact's handshake
-            peer_query=lambda: online_features(hist, peer_stats, medians),
+            # the peer's counters as of this decision point
+            peer_query=lambda: self._peer_features(sender, receiver, now),
         )
-        actions = self.router.on_contact(enc)
-        decided.update((sender, mid) for mid in offered)
-        for action in actions:
+        for action in self.router.on_contact(enc):
             if action.message_id not in offered:
                 continue
             session.queue.append((sender, receiver, action))
             self._queued.add((i, j))
+
+    def _peer_features(self, observer: int, peer: int, now: float) -> RelayQuery:
+        """The peer's features as the observer sees them at time now."""
+        counters = self.plan.contact_counters
+        k = round(now / self.spec.tick_s)
+        completed, seconds = counters.pair(observer, peer, k)
+        return online_features(
+            completed, seconds, counters.degree(peer, k), self.stats[peer], self.medians
+        )
 
     # ------------------------------------------------------------- transfers
 
@@ -819,22 +895,17 @@ class Simulation:
     # ------------------------------------------------------------- finishing
 
     def _finish(self, end_time: float) -> None:
-        for key in self.session_keys:
-            session = self.sessions[key]
-            if session.transfer is not None:
-                self._release(session)
-            i, j = key
-            self._record_contact_end(i, j, end_time - session.up_since)
-        self.sessions.clear()
-        self.session_keys.clear()
+        for key in sorted(self._transferring):
+            self._release(self.sessions[key])
         for node, buffer in enumerate(self.buffers):
             for mid in sorted(buffer.entries):
                 self._close_residency(node, buffer.entries[mid], end_time, "end")
 
     def _audit(self, now: float) -> None:
-        """Check buffer accounting and the copy budget, and re-derive the
-        engine's session indexes from the sessions to compare them with the
-        ones it keeps."""
+        """Check buffer accounting and the copy budget, check that the linked
+        sets are symmetric and that every session is on a linked pair, and
+        re-derive the engine's session indexes from the sessions to compare
+        them with the ones it keeps."""
         assert self.audit is not None
         violations = self.audit.violations
         copies: dict[str, int] = {}
@@ -857,9 +928,14 @@ class Simulation:
             if total > budget and not isinstance(self.router, EpidemicRouter):
                 violations.append(f"{mid}: copy sum {total} exceeds budget {budget}")
 
+        linked = self.linked
+        for node, peers in enumerate(linked):
+            if any(node not in linked[peer] for peer in peers):
+                violations.append(f"@{now} node {node}: linked to a peer not linked to it")
         sessions = self.sessions
-        if self.session_keys != sorted(sessions):
-            violations.append(f"@{now}: session keys disagree with the sessions")
+        for i, j in sorted(sessions):
+            if j not in linked[i]:
+                violations.append(f"@{now} link {(i, j)}: a session on an unlinked pair")
         transferring = {key for key, s in sessions.items() if s.transfer is not None}
         if transferring != self._transferring:
             violations.append(f"@{now}: transferring keys disagree with the sessions")

@@ -534,8 +534,13 @@ class TestExtract:
                 lambda lines: [*lines, "@1.00 p1 <-> p98 up"],
                 "link p1-p98 names a node not in the run",
             ),
+            # a contact that ends before it begins
+            (
+                lambda lines: [*lines, "@5000.00 p0 <-> p1 up", "@1.00 p0 <-> p1 down"],
+                "contact log goes back in time: @1.00 after @5000.00",
+            ),
         ],
-        ids=["cut", "down_without_up", "duplicated_up", "node_not_in_manifest"],
+        ids=["cut", "down_without_up", "duplicated_up", "node_not_in_manifest", "time_goes_back"],
     )
     def test_contact_log_that_disagrees_exits_2_naming_the_run(
         self, edit, reason, workspace, tmp_path, capsys

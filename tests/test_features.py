@@ -115,6 +115,21 @@ class TestExtraction:
         with pytest.raises(ValueError, match="never closed"):
             extract_features(NODES, [contact(1.0, P0, P1, True)], [])
 
+    def test_a_log_that_goes_back_in_time_is_refused(self):
+        # in file order the down follows its up, but in time it comes first
+        events = [contact(5.0, P0, P1, True), contact(1.0, P0, P1, False)]
+        with pytest.raises(ValueError, match="^contact log goes back in time: @1.00 after @5.00$"):
+            extract_features(NODES, events, [])
+        # across pairs too
+        events = [
+            contact(5.0, P0, P1, True),
+            contact(4.0, P0, C0, True),
+            contact(6.0, P0, P1, False),
+            contact(7.0, P0, C0, False),
+        ]
+        with pytest.raises(ValueError, match="back in time: @4.00 after @5.00"):
+            extract_features(NODES, events, [])
+
     def test_a_node_outside_the_run_is_refused(self):
         stranger = NodeId.parse("p98")
         with pytest.raises(ValueError, match="^link p0-p98 names a node not in the run$"):
@@ -170,17 +185,23 @@ class TestExtraction:
             for row in extract_features(out.nodes, out.contact_events, out.deliveries)
         }
         assert len(rows) == 20
-        for node, own in zip(sim.nodes, sim.stats):
+        # the plan's contact counters at the end of the run, closing downs included
+        counters = out.plan.contact_counters
+        end = round(sim.spec.duration_s / sim.spec.tick_s) + 1
+        for index, (node, own) in enumerate(zip(sim.nodes, sim.stats)):
             if str(node) not in rows:
                 continue
             row = rows[str(node)]
-            assert row["contact_freq"] == own.contacts
-            assert row["degree"] == own.degree
+            pairs = [counters.pair(index, other, end) for other in range(len(sim.nodes))]
+            contacts = sum(completed for completed, _ in pairs)
+            assert contacts > 0
+            assert row["contact_freq"] == contacts
+            assert row["degree"] == counters.degree(index, end)
             assert row["as_relay_count"] == own.relayed_delivered
             assert row["as_destination_count"] == own.as_dest
-            # links that drop in one tick are added in index order online
-            # and in name order offline, and the log rounds their times
-            expect = own.contact_seconds / own.contacts if own.contacts else 0.0
+            # the pairs' seconds add up here by partner index and offline in
+            # log order, and the log rounds their times
+            expect = sum(seconds for _, seconds in pairs) / contacts
             assert row["avg_contact_duration"] == pytest.approx(expect)
             assert row["avg_hop_count"] == pytest.approx(own.h_avg)
             assert row["avg_delivery_time"] == pytest.approx(own.t_delay)

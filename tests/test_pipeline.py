@@ -306,6 +306,26 @@ class TestSweep:
             ("P6_C6", regime, seed) for regime in ("weekday", "holiday") for seed in (1, 2)
         ]
 
+    def test_each_cell_renders_one_contact_log(self, tmp_path, monkeypatch):
+        rendered = []
+        real = pipeline.contact_log_lines
+
+        def counted(plan):
+            rendered.append((plan.spec.name, plan.spec.regime, plan.seed))
+            return real(plan)
+
+        monkeypatch.setattr(pipeline, "contact_log_lines", counted)
+        spec = desk_scenario(6, 6, duration_s=300.0)
+        protocols = ("SprayAndWait", "RandomRouter", "Epidemic")
+        config = SweepConfig(scenarios=(spec,), regimes=("weekday",), protocols=protocols, seeds=(1,))
+        run_sweep(config, tmp_path / "out")
+        assert rendered == [("P6_C6", "weekday", 1)]
+        cell = tmp_path / "out" / "P6_C6" / "weekday"
+        logs = [(cell / protocol / "seed1" / "connectivity.txt").read_bytes() for protocol in protocols]
+        assert logs[0] and logs[0] == logs[1] == logs[2]
+        plan = simcore.contact_plan(spec, 1)
+        assert logs[0].decode() == "".join(line + "\n" for line in real(plan))
+
     def test_ml_protocol_requires_a_model_up_front(self, tmp_path):
         config = SweepConfig(
             scenarios=(desk_scenario(4, 4, duration_s=300.0),),

@@ -19,7 +19,6 @@ from dtnlab.routing import (
     Message,
     MlGatedRouter,
     NodeStats,
-    PeerHistory,
     PredictorUnavailableError,
     RandomRouter,
     RelayQuery,
@@ -46,23 +45,13 @@ def query(**overrides) -> RelayQuery:
     return RelayQuery(**values)
 
 
-def encounter(
-    replicas,
-    peer=C0,
-    peer_has=(),
-    peer_delivered=(),
-    peer_relays=True,
-    now=100.0,
-    peer_query=None,
-):
+def encounter(replicas, peer=C0, peer_relays=True, now=100.0, peer_query=None):
     if peer_query is None:
         peer_query = lambda: query()
     return Encounter(
         now=now,
         peer_id=peer,
         replicas=list(replicas),
-        peer_has=frozenset(peer_has),
-        peer_delivered=frozenset(peer_delivered),
         peer_relays=peer_relays,
         peer_query=peer_query,
     )
@@ -120,20 +109,6 @@ class TestSprayAndWait:
         enc = encounter([replica("AC0", H0, copies=4)], peer=H1, peer_relays=False)
         assert router.on_contact(enc) == []
 
-    def test_peer_holdings_and_deliveries_are_skipped(self):
-        router = SprayAndWaitRouter()
-        enc = encounter(
-            [
-                replica("AC0", H0, copies=4),
-                replica("AC1", H0, copies=4),
-                replica("AC2", H0, copies=4),
-            ],
-            peer_has={"AC0"},
-            peer_delivered={"AC1"},
-        )
-        actions = router.on_contact(enc)
-        assert [(a.message_id, a.kind) for a in actions] == [("AC2", SPLIT)]
-
     def test_deliveries_queue_ahead_of_splits(self):
         router = SprayAndWaitRouter()
         enc = encounter(
@@ -165,18 +140,6 @@ class TestSprayAndWait:
 
 
 class TestEpidemic:
-    def test_copies_everything_peer_lacks(self):
-        router = EpidemicRouter()
-        enc = encounter(
-            [
-                replica("AC0", H0, copies=1),
-                replica("AC1", H0, copies=1),
-            ],
-            peer_has={"AC1"},
-        )
-        actions = router.on_contact(enc)
-        assert [(a.message_id, a.kind) for a in actions] == [("AC0", COPY)]
-
     def test_single_copy_is_no_obstacle(self):
         # epidemic has no budget; the copies field is just along for the ride
         router = EpidemicRouter()
@@ -241,12 +204,13 @@ class TestMlGatedRouter:
                 for m in range(rng.randrange(4))
             ]
             peer = rng.choice([P1, C0, H0])
+            # what the summary-vector exchange leaves when the peer holds a fifth
+            offered = [r for r in replicas if rng.random() >= 0.2]
             out.append(
                 encounter(
-                    replicas,
+                    offered,
                     peer=peer,
                     peer_relays=peer is not H0,
-                    peer_has={r.message.id for r in replicas if rng.random() < 0.2},
                     now=float(k),
                     peer_query=lambda k=k: query(contact_freq=float(k)),
                 )
@@ -387,7 +351,7 @@ class TestDecisionCache:
 
 class TestOnlineFeatures:
     def test_never_met_peer_scores_zero_with_median_fallbacks(self):
-        q = online_features(None, NodeStats(), medians=(2.5, 1400.0))
+        q = online_features(0, 0.0, 0, NodeStats(), medians=(2.5, 1400.0))
         assert q.as_dict() == {
             "contact_freq": 0.0,
             "degree": 0.0,
@@ -400,15 +364,11 @@ class TestOnlineFeatures:
 
     def test_contact_features_come_from_the_observer(self):
         stats = NodeStats()
-        stats.record_contact(3, 50.0)
-        stats.record_contact(4, 10.0)
         stats.record_relayed_delivery(4, 1200.0)
         stats.record_relayed_delivery(2, 800.0)
         stats.as_dest = 1
-        history = PeerHistory()
-        history.record(10.0)
-        history.record(20.0)
-        q = online_features(history, stats, medians=(0.0, 0.0))
+        # two completed contacts of 10 s and 20 s; the peer met two partners
+        q = online_features(2, 10.0 + 20.0, 2, stats, medians=(0.0, 0.0))
         assert q.contact_freq == 2.0
         assert q.avg_contact_duration == 15.0
         assert q.degree == 2.0
@@ -421,10 +381,8 @@ class TestOnlineFeatures:
         # no completed pairwise contacts yet, but the peer's own counters
         # arrived with the current contact's summary vector
         stats = NodeStats()
-        stats.record_contact(3, 50.0)
-        stats.record_contact(5, 10.0)
         stats.record_relayed_delivery(4, 1200.0)
-        q = online_features(None, stats, medians=(9.0, 9.0))
+        q = online_features(0, 0.0, 2, stats, medians=(9.0, 9.0))
         assert q.contact_freq == 0.0
         assert q.avg_contact_duration == 0.0
         assert q.degree == 2.0
@@ -433,11 +391,7 @@ class TestOnlineFeatures:
         assert q.avg_delivery_time == 1200.0
 
     def test_peer_without_deliveries_borrows_the_medians(self):
-        stats = NodeStats()
-        stats.record_contact(9, 30.0)
-        history = PeerHistory()
-        history.record(30.0)
-        q = online_features(history, stats, medians=(3.0, 1500.0))
+        q = online_features(1, 30.0, 1, NodeStats(), medians=(3.0, 1500.0))
         assert q.avg_hop_count == 3.0
         assert q.avg_delivery_time == 1500.0
         assert q.contact_freq == 1.0

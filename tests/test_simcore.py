@@ -22,9 +22,11 @@ from dtnlab.reports import (
     residency_log_lines,
 )
 from dtnlab.routing import (
+    COPY,
     FEATURE_NAMES,
     SPLIT,
     DecisionCache,
+    EpidemicRouter,
     Message,
     MlGatedRouter,
     PredictorUnavailableError,
@@ -39,6 +41,7 @@ from dtnlab.scenario import (
     with_regime,
 )
 from dtnlab.simcore import (
+    LinkSession,
     NodeBuffer,
     Simulation,
     TrafficSource,
@@ -50,6 +53,7 @@ from dtnlab.simcore import (
     link_transitions,
     run_simulation,
 )
+from contact_counters_reference import replay_downs
 from contact_log_reference import contact_log_lines as reference_contact_log_lines
 from engine_reference import run_per_tick
 
@@ -477,11 +481,16 @@ class TestShuttle:
         sim.buffers[0].used += 1
         sim._queued.add((0, 1))
         sim.in_flight[2] = Transfer(2, 0, "AC0", SPLIT, 1.0)
+        # a0 (node 2) and h0 (node 3) sit 80 m apart and are never linked
+        sim.linked[3].add(2)
+        sim.sessions[(2, 3)] = LinkSession()
         sim._audit(999.0)
         used = sim.buffers[0].used
         assert sim.audit.violations == [
             f"@999.0 node 0: buffer used {used}, replicas {used - 1} bytes, "
             f"capacity {sim.buffers[0].capacity}",
+            "@999.0 node 3: linked to a peer not linked to it",
+            "@999.0 link (2, 3): a session on an unlinked pair",
             "@999.0: queued keys disagree with the sessions",
             "@999.0 node 2: in_flight disagrees with the sessions",
         ]
@@ -506,6 +515,106 @@ class TestShuttle:
         assert log_text(gated) == log_text(spray)
         assert gated.fallbacks == gated.eligible_encounters > 0
         assert spray.fallbacks == spray.eligible_encounters == 0
+
+
+# ------------------------------------------------- the summary-vector exchange
+
+
+def recording(router_class):
+    """router_class, keeping the ids it was offered at each encounter; once
+    given its simulation as `sim`, it also checks that the peer lacked each."""
+
+    class Recording(router_class):
+        sim: Simulation | None = None
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.offered: list[list[str]] = []
+
+        def on_contact(self, enc):
+            ids = [r.message.id for r in enc.replicas]
+            self.offered.append(ids)
+            if self.sim is not None:
+                peer = self.sim.index[enc.peer_id]
+                assert ids
+                assert not any(self.sim.buffers[peer].has(mid) for mid in ids)
+                assert not any(mid in self.sim.delivered[peer] for mid in ids)
+            return super().on_contact(enc)
+
+    return Recording()
+
+
+def stocked(sim: Simulation, node: int, mids, copies: int = 4) -> None:
+    """Put replicas addressed to h0 into node's buffer."""
+    for mid in mids:
+        message = Message(mid, 1000, A0, H0, created_at=0.0, ttl_s=600.0)
+        assert sim.buffers[node].admit(Replica(message, copies, 0.0, (A0,)))[0]
+
+
+class TestSummaryVector:
+    """The engine offers a router only what the peer lacks and what was not
+    yet decided on this link: nodes p0 (0) and c0 (2) of desk P2_C2."""
+
+    def consult(self, router) -> Simulation:
+        sim = Simulation(desk_scenario(2, 2, duration_s=60.0), router, 1)
+        sim._link_up(0, 2)
+        return sim
+
+    def queued(self, sim: Simulation) -> list[tuple[str, str]]:
+        return [(a.message_id, a.kind) for _, _, a in sim.sessions[(0, 2)].queue]
+
+    def test_peer_holdings_and_deliveries_are_skipped(self):
+        router = recording(SprayAndWaitRouter)
+        sim = self.consult(router)
+        stocked(sim, 0, ["AC0", "AC1", "AC2"])
+        stocked(sim, 2, ["AC0"])
+        sim.delivered[2].add("AC1")
+        sim._consult_router(0, 2, 0, 100.0)
+        assert router.offered == [["AC2"]]
+        assert self.queued(sim) == [("AC2", SPLIT)]
+        # the skipped ids count as decided: not offered again on this link
+        # once the peer no longer holds one, only the newcomer is
+        assert sim.sessions[(0, 2)].decided == {0: {"AC0", "AC1", "AC2"}}
+        sim.buffers[2].remove("AC0")
+        stocked(sim, 0, ["AC3"])
+        sim._consult_router(0, 2, 0, 101.0)
+        assert router.offered == [["AC2"], ["AC3"]]
+
+    def test_epidemic_copies_everything_peer_lacks(self):
+        router = recording(EpidemicRouter)
+        sim = self.consult(router)
+        stocked(sim, 0, ["AC0", "AC1"], copies=1)
+        stocked(sim, 2, ["AC1"], copies=1)
+        sim._consult_router(0, 2, 0, 100.0)
+        assert router.offered == [["AC0"]]
+        assert self.queued(sim) == [("AC0", COPY)]
+
+    def test_nothing_to_offer_never_reaches_the_router(self):
+        router = recording(EpidemicRouter)
+        sim = self.consult(router)
+        stocked(sim, 0, ["AC0"])
+        stocked(sim, 2, ["AC0"])
+        sim._route(100.0, [(0, 2)])  # the link comes up: both directions
+        assert router.offered == []
+        assert sim.sessions[(0, 2)].decided == {0: {"AC0"}, 2: {"AC0"}}
+        assert not sim._queued
+
+    def test_a_link_gets_a_session_only_once_a_sender_holds_something(self):
+        sim = self.consult(SprayAndWaitRouter())
+        sim._route(100.0, [(0, 2)])
+        assert sim.sessions == {}
+        sim._link_down(0, 2)
+        assert sim.linked[0] == sim.linked[2] == set()
+
+    def test_whole_runs_offer_only_what_the_peer_lacks(self, tmp_path):
+        for router_class in (EpidemicRouter, SprayAndWaitRouter):
+            router = recording(router_class)
+            sim = router.sim = Simulation(
+                shuttle_spec(tmp_path, pedestrians=2), router, 4, audit=True
+            )
+            out = sim.run()
+            assert out.relays and out.audit.violations == []
+            assert len(router.offered) > 10
 
 
 # ------------------------------------------------------------- whole-run law
@@ -577,6 +686,15 @@ GOLDEN_LOGS = {
         "relay.txt": "1e0897f2cf3967242d98850d5380a0b57fd20d31705ffd9963b83575c7c99390",
         "buffer.txt": "457442d3684a781997b0b68a1d6f589e44790114439f4e9e5de58e6214a34aed",
     },
+    # the relay gate at the full-grid population over 120 s, where the peers'
+    # degrees come from thousands of short contacts; captured from the engine
+    # that still counted contacts on every link down
+    "desk_P90_C80_gate": {
+        "connectivity.txt": "ce7795e7806f91a2a3450f276d279fc88291de27f715367c675c967ccb39193c",
+        "delivered.txt": "59590049b772d70bd8e354a26c1d8edf387be4ac155e2730e482610fdd1d0d2e",
+        "relay.txt": "3a09ea4fd0ff044b3c5686d958b08dbff945d1629d3644ac2f5a3b20bf6ff1f3",
+        "buffer.txt": "1ebc76dd8fb2e3497a4213ae7c5ebe27ced7598c50ba55eeedae4fb35c2e0434",
+    },
     "urban_P12_C12_spray": {
         "connectivity.txt": "29624d748ce2ef78b2500b7ddc2302d3ac2fdac17493eee79eac3ea1daca212f",
         "delivered.txt": "1f797baf2a15f825e70aa2b5ec552cef387b365e9c2dcf83c9d321fc808bf9db",
@@ -603,8 +721,11 @@ GOLDEN_LOGS = {
         "buffer.txt": "7838de7cf8d3e7dd324aaa12a850ce11b3133e9ebf3fdbff53edd6d373c6672e",
     },
 }
-# sha256 of the JSON list of feature mappings the gate case's predictor got
-GOLDEN_GATE_FEATURES = "6f3a8cb37fc7430aa7255a36a00823041e10d52f0640a9b5ad632ada1f19c466"
+# sha256 of the JSON list of feature mappings each gate case's predictor got
+GOLDEN_GATE_FEATURES = {
+    "urban_P12_C12_gate": "6f3a8cb37fc7430aa7255a36a00823041e10d52f0640a9b5ad632ada1f19c466",
+    "desk_P90_C80_gate": "96a61f653f0aa0ad3ea56537a44cbe7be4644981b3ad184577c2ec6ddccdc85d",
+}
 
 
 class AllSevenFeatures:
@@ -624,13 +745,15 @@ class AllSevenFeatures:
 
 def golden_case(name: str) -> tuple[ScenarioSpec, str, dict]:
     """The scenario, router and run_simulation keywords of a golden case."""
+    gated = {"predictor": AllSevenFeatures(), "feature_medians": (3.0, 250.0)}
     if name == "desk_P90_C80_epidemic":
         return desk_scenario(90, 80, duration_s=60.0), "Epidemic", {}
+    if name == "desk_P90_C80_gate":
+        return desk_scenario(90, 80, duration_s=120.0), "MLPBasedRouter", gated
     urban = with_regime(replace(desk_scenario(12, 12, duration_s=600.0), **URBAN), "weekday")
     if name == "urban_P12_C12_epidemic_pressure":
         return replace(urban, ttl_s=300.0, buffer_bytes=600_000), "Epidemic", {}
     if name == "urban_P12_C12_gate":
-        gated = {"predictor": AllSevenFeatures(), "feature_medians": (3.0, 250.0)}
         return replace(urban, duration_s=1800.0), "MLPBasedRouter", gated
     return urban, "SprayAndWait", {}
 
@@ -647,7 +770,7 @@ class TestGoldenLogs:
         assert digests == GOLDEN_LOGS[name]
         if "predictor" in kwargs:
             seen = json.dumps(kwargs["predictor"].seen).encode()
-            assert hashlib.sha256(seen).hexdigest() == GOLDEN_GATE_FEATURES
+            assert hashlib.sha256(seen).hexdigest() == GOLDEN_GATE_FEATURES[name]
 
 
 # -------------------------------------------------------------- contact plan
@@ -1011,9 +1134,10 @@ class CountingCuts(Simulation):
         super().__init__(*args, **kwargs)
         self.cut = {"link down": 0, "expiry": 0}
 
-    def _link_down(self, i: int, j: int, now: float) -> None:
-        self.cut["link down"] += self.sessions[(i, j)].transfer is not None
-        super()._link_down(i, j, now)
+    def _link_down(self, i: int, j: int) -> None:
+        session = self.sessions.get((i, j))
+        self.cut["link down"] += session is not None and session.transfer is not None
+        super()._link_down(i, j)
 
     def _expire(self, now: float) -> None:
         in_flight = len(self._transferring)
@@ -1022,6 +1146,18 @@ class CountingCuts(Simulation):
 
 
 ROUTERS = ("SprayAndWait", "RandomRouter", "Epidemic", "MLPBasedRouter")
+
+
+def acceptance_scenarios():
+    """The (spec, seed) of the 20 scenarios of acceptance criterion c01."""
+    rng = random.Random(101)
+    for _ in range(20):
+        p, c = rng.randint(3, 7), rng.randint(3, 7)
+        regime = rng.choice(("weekday", "holiday"))
+        rng.choice(("SprayAndWait", "RandomRouter", "Epidemic"))
+        seed = rng.randint(1, 10_000)
+        duration = rng.choice((300.0, 450.0, 600.0))
+        yield with_regime(desk_scenario(p, c, duration_s=duration), regime), seed
 
 
 def stepped_and_per_tick(spec: ScenarioSpec, seed: int):
@@ -1049,19 +1185,21 @@ class TestEventStepping:
     the frozen per-tick loop in every log, counter and audit record."""
 
     def test_acceptance_scenarios_with_every_router(self):
-        rng = random.Random(101)  # the scenarios of acceptance criterion c01
         fallbacks = 0
-        for _ in range(20):
-            p, c = rng.randint(3, 7), rng.randint(3, 7)
-            regime = rng.choice(("weekday", "holiday"))
-            rng.choice(("SprayAndWait", "RandomRouter", "Epidemic"))
-            seed = rng.randint(1, 10_000)
-            duration = rng.choice((300.0, 450.0, 600.0))
-            spec = with_regime(desk_scenario(p, c, duration_s=duration), regime)
+        for spec, seed in acceptance_scenarios():
             for stepped, _, reference in stepped_and_per_tick(spec, seed):
                 assert_same_run(stepped, reference)
                 fallbacks += stepped.fallbacks
         assert fallbacks > 0  # the flaky predictor's fallbacks were compared too
+
+    def test_city_density_with_every_router(self):
+        # the full-grid population: thousands of links, most of them up and
+        # down again before any message reaches either end
+        spec = with_regime(desk_scenario(90, 80, duration_s=120.0), "weekday")
+        for stepped, _, reference in stepped_and_per_tick(spec, 5):
+            assert_same_run(stepped, reference)
+            assert stepped.relays
+        assert int(stepped.plan.up.sum()) > 1000
 
     def test_long_transfers_cut_by_link_downs(self):
         spec = desk_scenario(20, 20, duration_s=900.0)  # the default 2 Mbps
@@ -1108,6 +1246,48 @@ class TestEventStepping:
         for run in (run_simulation, run_per_tick):
             with pytest.raises(ConfigurationError, match="^traffic.ttl_s must be finite$"):
                 run(spec, "SprayAndWait", 1)
+
+
+class TestContactCounters:
+    """The plan's contact counters must equal, bit for bit, what the engine
+    counted on every link down before the plan took the counting over."""
+
+    @staticmethod
+    def assert_counters_follow_the_downs(plan) -> tuple[int, dict]:
+        """Check every tick with a down; returns their number and the final tally."""
+        counters = plan.contact_counters
+        n = len(plan.spec.roster())
+        steps = 0
+        for k, downs, linked, stats, tally in replay_downs(plan):
+            for i, j in downs:  # counted from their own tick on, not before
+                assert counters.pair(i, j, k - 1)[0] == tally[(i, j)][0] - 1
+            # the linked pairs' next downs must not count yet
+            for i, j in downs + linked:
+                assert counters.pair(i, j, k) == counters.pair(j, i, k) == tally.get((i, j), (0, 0.0))
+            assert [counters.degree(node, k) for node in range(n)] == [s.degree for s in stats]
+            steps += 1
+        for i in range(n):  # after the closing downs, every pair
+            for j in range(i + 1, n):
+                assert counters.pair(i, j, k) == tally.get((i, j), (0, 0.0))
+        return steps, tally
+
+    def test_acceptance_scenarios(self):
+        steps = sum(
+            self.assert_counters_follow_the_downs(contact_plan(spec, seed))[0]
+            for spec, seed in acceptance_scenarios()
+        )
+        assert steps > 100
+
+    def test_full_grid_population(self):
+        plan = contact_plan(desk_scenario(90, 80, duration_s=120.0), 5)
+        assert self.assert_counters_follow_the_downs(plan)[0] > 500
+
+    def test_urban_profile(self):
+        spec, _, _ = golden_case("urban_P12_C12_gate")
+        steps, tally = self.assert_counters_follow_the_downs(contact_plan(spec, 5))
+        assert steps > 100
+        # pairs that met again and again, whose seconds add up in order
+        assert max(contacts for contacts, _ in tally.values()) > 3
 
 
 # ------------------------------------------------------------ traffic source
