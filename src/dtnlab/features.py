@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .nodes import MOBILE_CLASSES
+from .reports import ContactLog, paired_rows
 from .routing import FEATURE_NAMES, NodeStats
 from .scenario import ConfigurationError
 
@@ -32,41 +33,21 @@ class NotFittedError(RuntimeError):
 # ----------------------------------------------------------------- extraction
 
 
-def extract_features(nodes, contact_events, deliveries) -> list[dict]:
+def extract_features(nodes, contacts: ContactLog, deliveries) -> list[dict]:
     """Per-node relay statistics for every mobile node, from the run logs.
 
-    The logs are replayed into NodeStats counters: the contact ones count
-    what the contact plan counts for the relay gate, the delivery ones what
-    the engine keeps online.  Contact features count completed contacts
-    only; the engine closes every link it opens, the last ones at end of
-    run.  The two
-    delivery averages stay None for nodes that never relayed a delivered
-    message.  Logs that disagree with each other, go back in time or name
-    a node outside `nodes` are refused (ValueError).
+    The contact features count completed contacts from the contact log's
+    columns, as the plan counts them for the relay gate; the engine closes
+    every link it opens, the last ones at end of run.  The delivery
+    counters are replayed into NodeStats, as the engine keeps them online;
+    the two delivery averages stay None for nodes that never relayed a
+    delivered message.  Logs that disagree with each other, go back in time
+    or name a node outside `nodes` are refused (ValueError).
     """
-    stats = {str(n): NodeStats() for n in nodes}
-    open_at: dict[tuple[str, str], float] = {}
-    last = float("-inf")
-    for ev in contact_events:
-        key = tuple(sorted((str(ev.a), str(ev.b))))
-        if ev.up:
-            if key in open_at:
-                raise ValueError(f"link {key[0]}-{key[1]} raised while already up")
-            if key[0] not in stats or key[1] not in stats:
-                raise ValueError(f"link {key[0]}-{key[1]} names a node not in the run")
-            open_at[key] = ev.time
-        else:
-            if key not in open_at:
-                raise ValueError(f"link {key[0]}-{key[1]} dropped while down")
-            length = ev.time - open_at.pop(key)
-            stats[key[0]].record_contact(key[1], length)
-            stats[key[1]].record_contact(key[0], length)
-        if ev.time < last:
-            raise ValueError(f"contact log goes back in time: @{ev.time:.2f} after @{last:.2f}")
-        last = ev.time
-    if open_at:
-        raise ValueError(f"{len(open_at)} contact(s) never closed")
+    index = {node: i for i, node in enumerate(nodes)}
+    met, degree, seconds = _contact_counts(contacts, index, len(nodes))
 
+    stats = {str(n): NodeStats() for n in nodes}
     for rec in deliveries:
         strangers = [str(hop) for hop in rec.path if str(hop) not in stats]
         if strangers:
@@ -79,15 +60,13 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
     for node in nodes:
         if node.node_class not in MOBILE_CLASSES:
             continue
-        own = stats[str(node)]
+        own, k = stats[str(node)], index[node]
         rows.append(
             {
                 "node": str(node),
-                "contact_freq": float(own.contacts),
-                "degree": float(own.degree),
-                "avg_contact_duration": (
-                    own.contact_seconds / own.contacts if own.contacts else 0.0
-                ),
+                "contact_freq": float(met[k]),
+                "degree": float(degree[k]),
+                "avg_contact_duration": seconds[k] / met[k] if met[k] else 0.0,
                 "avg_hop_count": own.h_avg,
                 "avg_delivery_time": own.t_delay,
                 "as_relay_count": float(own.relayed_delivered),
@@ -97,15 +76,53 @@ def extract_features(nodes, contact_events, deliveries) -> list[dict]:
     return rows
 
 
+def _contact_counts(log: ContactLog, index: dict, n: int) -> tuple[list, list, list]:
+    """Completed contacts, distinct partners and contact seconds of each of
+    the n nodes, by their index, each node's seconds added in file order of
+    the downs.  A faulty log is refused (ValueError) by its first faulty
+    line, a line's pairing before its time."""
+    rows, m = len(log.time), len(log.nodes)
+    slot = np.array([index.get(node, -1) for node in log.nodes], dtype=np.int64)  # -1: a stranger
+    key = np.minimum(log.a, log.b) * m + np.maximum(log.a, log.b)
+    ups, downs = paired_rows(key)
+    # a line opens its link if an even number of the pair's lines came before it
+    order = np.empty(rows, dtype=np.int64)
+    order[0::2], order[1::2] = ups, downs
+    opens = np.empty(rows, dtype=bool)
+    opens[order] = (np.arange(rows) - np.searchsorted(key[order], key[order])) % 2 == 0
+    stranger = (slot[log.a] < 0) | (slot[log.b] < 0)
+    unpaired = (log.up != opens) | log.up & stranger
+    back = np.concatenate(([False], log.time[1:] < log.time[:-1]))
+    faulty = np.flatnonzero(unpaired | back)
+    if len(faulty):
+        r = int(faulty[0])
+        if not unpaired[r]:
+            time, last = log.time[r], log.time[r - 1]
+            raise ValueError(f"contact log goes back in time: @{time:.2f} after @{last:.2f}")
+        link = "link {}-{}".format(*sorted((str(log.nodes[log.a[r]]), str(log.nodes[log.b[r]]))))
+        if not log.up[r]:
+            raise ValueError(f"{link} dropped while down")
+        if not opens[r]:
+            raise ValueError(f"{link} raised while already up")
+        raise ValueError(f"{link} names a node not in the run")
+    if 2 * log.up.sum() != rows:
+        raise ValueError(f"{2 * int(log.up.sum()) - rows} contact(s) never closed")
+
+    in_file_order = np.argsort(downs)  # the contacts by the line of their down
+    ups, downs = ups[in_file_order], downs[in_file_order]
+    # each down's two nodes in turn: bincount adds in this order
+    ends = np.column_stack((slot[log.a[downs]], slot[log.b[downs]])).ravel()
+    lengths = np.repeat(log.time[downs] - log.time[ups], 2)
+    pairs = np.unique(key[downs])
+    degree = np.bincount(np.concatenate((slot[pairs // m], slot[pairs % m])), minlength=n)
+    seconds = np.bincount(ends, weights=lengths, minlength=n)
+    return np.bincount(ends, minlength=n).tolist(), degree.tolist(), seconds.tolist()
+
+
 def rows_to_matrix(rows: list[dict]) -> np.ndarray:
     """Feature rows as an (n, 7) float matrix, NaN where undefined."""
-    X = np.full((len(rows), len(FEATURE_NAMES)), np.nan)
-    for i, row in enumerate(rows):
-        for j, name in enumerate(FEATURE_NAMES):
-            value = row[name]
-            if value is not None:
-                X[i, j] = float(value)
-    return X
+    X = [[np.nan if row[k] is None else float(row[k]) for k in FEATURE_NAMES] for row in rows]
+    return np.array(X, dtype=float).reshape(len(rows), len(FEATURE_NAMES))
 
 
 # ---------------------------------------------------------------- normalizers
@@ -252,15 +269,9 @@ def assemble_dataset(
     """
     rows: list[dict] = []
     for scenario, sc_rows in scenario_rows:
-        X = rows_to_matrix(sc_rows)
-        scores = relay_scores(X)
-        labels = label_by_median(scores)
-        for row, score, label in zip(sc_rows, scores, labels):
-            tagged = dict(row)
-            tagged["scenario"] = scenario
-            tagged["score"] = float(score)
-            tagged["label"] = int(label)
-            rows.append(tagged)
+        scores = relay_scores(rows_to_matrix(sc_rows))
+        for row, score, label in zip(sc_rows, scores, label_by_median(scores)):
+            rows.append(dict(row, scenario=scenario, score=float(score), label=int(label)))
     if not rows:
         raise ValueError("no feature rows to assemble")
 
@@ -305,12 +316,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for row in dataset.rows:
-            writer.writerow(
-                [
-                    "" if row.get(col) is None else _cell(row[col])
-                    for col in _CSV_COLUMNS
-                ]
-            )
+            writer.writerow([_cell(row.get(col)) for col in _CSV_COLUMNS])
     meta = {
         "feature_names": list(dataset.feature_names),
         "medians": {
@@ -324,9 +330,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:

@@ -27,7 +27,7 @@ from .ml import (
 )
 from .nodes import NodeId
 from .reports import (
-    ContactEvent,
+    ContactLog,
     DeliveryRecord,
     RelayEvent,
     ResidencyRecord,
@@ -170,15 +170,12 @@ def write_run(
 @dataclass(frozen=True)
 class RunRecord:
     manifest: dict
-    contacts: list[ContactEvent]
+    nodes: list[NodeId]  # the manifest's nodes, parsed
+    contacts: ContactLog
     deliveries: list[DeliveryRecord]
     relays: list[RelayEvent]
     residencies: list[ResidencyRecord]
     metrics: RunMetrics
-
-    @property
-    def nodes(self) -> list[NodeId]:
-        return [NodeId.parse(name) for name in self.manifest["nodes"]]
 
 
 def read_run(run_dir: str | Path) -> RunRecord:
@@ -189,9 +186,10 @@ def read_run(run_dir: str | Path) -> RunRecord:
     run = Path(run_dir)
     if not run.is_dir():
         raise ConfigurationError(f"run directory not found: {run}")
-    manifest = _read_manifest(_run_file(run, "manifest.json"))
+    manifest, nodes = _read_manifest(_run_file(run, "manifest.json"))
     return RunRecord(
         manifest=manifest,
+        nodes=nodes,
         contacts=_read_log(run, LOG_FILES["contacts"], parse_contact_lines),
         deliveries=_read_log(run, LOG_FILES["deliveries"], parse_delivered_lines),
         relays=_read_log(run, LOG_FILES["relays"], parse_relay_lines),
@@ -233,17 +231,18 @@ def _read_object(path: Path, fields: Iterable[str]) -> dict:
     return data
 
 
-def _read_manifest(path: Path) -> dict:
-    """The manifest, with the fields dataset_from_runs reads checked."""
+def _read_manifest(path: Path) -> tuple[dict, list[NodeId]]:
+    """The manifest and its nodes, with the fields dataset_from_runs reads checked."""
     data = _read_object(path, ("scenario", "regime", "seed", "nodes"))
     if not isinstance(data["nodes"], list):
         raise ConfigurationError(f"{path}: nodes is not a list")
+    nodes = []
     for name in data["nodes"]:
         try:
-            NodeId.parse(name)
+            nodes.append(NodeId.parse(name))
         except (TypeError, ValueError):  # not a string, or not a node's name
             raise ConfigurationError(f"{path}: nodes: not a node name: {name!r}") from None
-    return data
+    return data, nodes
 
 
 def _read_metrics(path: Path) -> RunMetrics:

@@ -15,9 +15,10 @@ delivered-messages report, header line then one line per delivery::
 Times carry two decimals in the connectivity trace and four in the delivered
 report.  remainingTtl is whole minutes.  The connectivity writer is
 simcore.contact_log_lines, which renders a contact plan straight from its
-(tick, a, b, up) columns in (time, a, b) order; parsers keep file order
-and report 1-based line numbers on malformed input.  Relay and buffer logs
-are auxiliary formats local to this package.
+(tick, a, b, up) columns in (time, a, b) order, and parse_contact_lines
+reads it back into columns of that shape (ContactLog).  Parsers keep file
+order and report 1-based line numbers on malformed input.  Relay and buffer
+logs are auxiliary formats local to this package.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 from .nodes import NodeId
 
@@ -70,14 +73,6 @@ def _fields(line: str, count: int) -> list[str]:
     return fields
 
 
-@dataclass(frozen=True, slots=True)
-class ContactEvent:
-    time: float  # seconds, non-negative
-    a: NodeId
-    b: NodeId
-    up: bool  # True for link up, False for down
-
-
 @dataclass(frozen=True)
 class DeliveryRecord:
     time: float  # delivery wall-clock, seconds
@@ -99,18 +94,51 @@ _CONTACT_RE = re.compile(
 )
 
 
-def parse_contact_line(line: str, line_no: int = 1) -> ContactEvent:
-    m = _CONTACT_RE.match(line)
-    if m is None:
-        raise ParseError(line_no, line, "not a connectivity event")
-    a, b = NodeId.parse(m.group("a")), NodeId.parse(m.group("b"))
-    if a == b:
-        raise ParseError(line_no, line, "contact endpoints must differ")
-    return ContactEvent(time=float(m.group("time")), a=a, b=b, up=m.group("state") == "up")
+@dataclass(frozen=True, eq=False)  # array fields leave a generated __eq__ ambiguous
+class ContactLog:
+    """A connectivity trace as columns, a row per line in file order: the
+    time, the two endpoints as written, as indices into nodes, and whether
+    the link came up."""
+
+    nodes: list[NodeId]  # each node the trace names, by first mention
+    time: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    up: np.ndarray
 
 
-def parse_contact_lines(lines: Iterable[str]) -> list[ContactEvent]:
-    return _parse_lines(lines, parse_contact_line)
+def parse_contact_lines(lines: Iterable[str]) -> ContactLog:
+    """The trace's columns.  Each distinct name is parsed once, and the
+    names of one node (p3, p03) share its index."""
+    index: dict[NodeId, int] = {}  # each node the trace names, by first mention
+    slots: dict[str, int] = {}  # each name as written -> its node's index
+
+    def slot(name: str) -> int:
+        if name not in slots:
+            slots[name] = index.setdefault(NodeId.parse(name), len(index))
+        return slots[name]
+
+    def contact(line: str, line_no: int) -> tuple[float, int, int, bool]:
+        m = _CONTACT_RE.match(line)
+        if m is None:
+            raise ParseError(line_no, line, "not a connectivity event")
+        time, a, b, state = m.groups()
+        a, b = slot(a), slot(b)
+        if a == b:
+            raise ParseError(line_no, line, "contact endpoints must differ")
+        return float(time), a, b, state == "up"
+
+    time, a, b, up = np.array(_parse_lines(lines, contact), dtype=float).reshape(-1, 4).T
+    return ContactLog(list(index), time.copy(), a.astype(np.int64), b.astype(np.int64), up == 1.0)
+
+
+def paired_rows(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each contact's up row and down row, by the rows' pair keys.  A pair's
+    rows alternate up and down from an up, in a plan and in its log, and a
+    stable argsort on the key keeps them in row order: ups at even
+    positions, downs at odd ones."""
+    order = np.argsort(pair, kind="stable")
+    return order[0::2], order[1::2]
 
 
 # ------------------------------------------------------------------- delivered
@@ -126,29 +154,23 @@ def format_delivery_record(rec: DeliveryRecord) -> str:
     )
 
 
-def parse_delivery_line(line: str, line_no: int = 2) -> DeliveryRecord:
-    fields = line.split(" ")
-    if len(fields) != 10:
-        raise ParseError(line_no, line, f"expected 10 fields, got {len(fields)}")
-    (time_s, mid, size_s, hops_s, delay_s, from_s, to_s, ttl_s, resp_s, path_s) = fields
+def parse_delivery_line(line: str, _: int) -> DeliveryRecord:
+    time_s, mid, size_s, hops_s, delay_s, from_s, to_s, ttl_s, resp_s, path_s = _fields(line, 10)
     if resp_s not in ("Y", "N"):
-        raise ParseError(line_no, line, "isResponse must be Y or N")
-    try:
-        rec = DeliveryRecord(
-            time=float(time_s),
-            message_id=mid,
-            size=int(size_s),
-            hopcount=int(hops_s),
-            delivery_time=float(delay_s),
-            from_host=NodeId.parse(from_s),
-            to_host=NodeId.parse(to_s),
-            remaining_ttl=int(ttl_s),
-            is_response=resp_s == "Y",
-            path=tuple(NodeId.parse(p) for p in path_s.split("->")),
-        )
-        _check_delivery(rec)
-    except ValueError as err:
-        raise ParseError(line_no, line, str(err)) from err
+        raise ValueError("isResponse must be Y or N")
+    rec = DeliveryRecord(
+        time=float(time_s),
+        message_id=mid,
+        size=int(size_s),
+        hopcount=int(hops_s),
+        delivery_time=float(delay_s),
+        from_host=NodeId.parse(from_s),
+        to_host=NodeId.parse(to_s),
+        remaining_ttl=int(ttl_s),
+        is_response=resp_s == "Y",
+        path=tuple(NodeId.parse(p) for p in path_s.split("->")),
+    )
+    _check_delivery(rec)
     return rec
 
 

@@ -21,17 +21,17 @@ that set is not empty.  Routers judge the replicas they are given.
 Peer statistics travel in the same handshake.  An observer's view of a peer
 combines the contacts the two completed with each other and the peer's
 degree, both counted from the contact plan up to the decision point, with
-the peer's live delivery counters: the pairwise contact features count only
-completed contacts with that peer, and a peer that has not yet relayed a
-delivered message falls back to the shipped training medians for the two
-delivery averages.
+the peer's live delivery counters (NodeStats): the pairwise contact
+features count only completed contacts with that peer, and a peer that has
+not yet relayed a delivered message falls back to the shipped training
+medians for the two delivery averages.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, NamedTuple, Protocol
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Protocol
 
 from .nodes import NodeId
 
@@ -75,25 +75,16 @@ class Predictor(Protocol):
 
 @dataclass
 class NodeStats:
-    """Counters of one node.
-
-    The engine keeps the delivery counters live.  The contact fields are
-    filled only by extract_features, which rebuilds every counter from the
-    logs with partners by node name; the engine reads contact counts from
-    the contact plan instead (ContactPlan.contact_counters).
+    """The delivery counters of one node: the engine keeps them live, and
+    extract_features rebuilds them from the delivered log.  Contact counts
+    come from the contact plan (ContactPlan.contact_counters) and the
+    contact log's columns instead.
     """
 
-    contacts: int = 0
-    partners: set[Hashable] = field(default_factory=set)
-    contact_seconds: float = 0.0
     relayed_delivered: int = 0
     hop_sum: float = 0.0
     delay_sum: float = 0.0
     as_dest: int = 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.partners)
 
     @property
     def h_avg(self) -> float | None:
@@ -106,11 +97,6 @@ class NodeStats:
         """Mean delay of the delivered messages this node relayed; None until
         it relayed one."""
         return self.delay_sum / self.relayed_delivered if self.relayed_delivered else None
-
-    def record_contact(self, partner: Hashable, duration: float) -> None:
-        self.contacts += 1
-        self.partners.add(partner)
-        self.contact_seconds += duration
 
     def record_relayed_delivery(self, hopcount: int, delay: float) -> None:
         self.relayed_delivered += 1

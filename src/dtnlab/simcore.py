@@ -10,9 +10,9 @@ of ticks at a time, measures over each block only the pairs that can be
 linked in it, and reads the link transitions off the block's state flips.
 The plan holds them as four columns (tick, a, b, up), a row per transition
 in (tick, up, a, b) order, then the pairs still linked at the end as
-closing downs.  The engine replays it through `ContactPlan.steps`,
-`contact_log_lines` renders the contact log from the columns, and the plan
-builds the same log as ContactEvents only when asked.  The plan reads no
+closing downs.  The engine replays it through `ContactPlan.steps` and
+`contact_log_lines` renders the contact log from the columns; `extract`
+reads that log back into columns of the same shape.  The plan reads no
 engine state, so every protocol run over one (scenario, seed) replays the
 same plan and writes the same contact log.
 
@@ -46,7 +46,8 @@ key sets.  These fixed orders make logs byte-identical across repeated runs.
 The gate's contact counters (completed contacts per pair and their seconds,
 each node's degree) are functions of the contact plan alone, so the plan
 counts them from its columns, once, when a router first asks for a peer's
-features (ContactCounters); a down at tick k counts for decisions at tick k.
+features (ContactCounters), pairing downs and ups as `extract` does
+(paired_rows); a down at tick k counts for decisions at tick k.
 
 Radio model: nodes are linked while their distance is at most the radio
 range.  Transfers are half duplex, one per node at a time, at a fixed link
@@ -70,7 +71,7 @@ import numpy as np
 
 from .mobility import Fleet, FixedPost, Wanderer
 from .nodes import MOBILE_CLASSES, NodeClass, NodeId
-from .reports import ContactEvent, DeliveryRecord, RelayEvent, ResidencyRecord
+from .reports import DeliveryRecord, RelayEvent, ResidencyRecord, paired_rows
 from .routing import (
     DELIVER,
     SPLIT,
@@ -213,10 +214,9 @@ class ContactPlan:
     up, a, b) order, so a tick's downs come before its ups; the pairs still
     linked after the last tick follow as downs at tick n_ticks + 1, stamped
     with the end of the run.  That is the contact log of every run that
-    replays the plan: the engine reads it through steps(), contact_log_lines
-    renders it, and contact_events builds it as ContactEvents, once, on first
-    use.  contact_counters counts the gate's contact features from it, also
-    once, on first use."""
+    replays the plan: the engine reads it through steps() and
+    contact_log_lines renders it.  times and contact_counters are computed
+    from the columns once, on first use."""
 
     spec: ScenarioSpec
     seed: int
@@ -238,24 +238,18 @@ class ContactPlan:
         for k, lo, mid, hi in zip(tick[starts].tolist(), bounds, splits.tolist(), bounds[1:]):
             yield k, pairs[lo:mid], pairs[mid:hi]
 
-    def times(self) -> tuple[list[float], np.ndarray]:
-        """The log time of each distinct tick, and each row's index into them.
-        A tick's time is round(k * tick_s, 4) to two places; the closing rows
-        take the end of the run."""
+    @cached_property
+    def times(self) -> tuple[np.ndarray, np.ndarray]:
+        """The engine's time of each distinct tick, round(k * tick_s, 4), and
+        each row's index into them; the closing rows take the end of the
+        run, round(duration_s, 4)."""
         ticks, row_time = np.unique(self.tick, return_inverse=True)
         tick_s, n_ticks = self.spec.tick_s, round(self.spec.duration_s / self.spec.tick_s)
         times = [
-            round(round(k * tick_s, 4), 2) if k <= n_ticks else round(self.spec.duration_s, 2)
+            round(k * tick_s, 4) if k <= n_ticks else round(self.spec.duration_s, 4)
             for k in ticks.tolist()
         ]
-        return times, row_time
-
-    @cached_property
-    def contact_events(self) -> list[ContactEvent]:
-        nodes = self.spec.roster()
-        times, row_time = self.times()
-        rows = zip(row_time.tolist(), self.a.tolist(), self.b.tolist(), self.up.tolist())
-        return [ContactEvent(times[t], nodes[a], nodes[b], up) for t, a, b, up in rows]
+        return np.array(times, dtype=float), row_time
 
     @cached_property
     def contact_counters(self) -> ContactCounters:
@@ -276,18 +270,11 @@ class ContactCounters:
     """
 
     def __init__(self, plan: ContactPlan) -> None:
-        spec = plan.spec
-        n_ticks = round(spec.duration_s / spec.tick_s)
-        self._n = n = len(spec.roster())
-        ticks, row_tick = np.unique(plan.tick, return_inverse=True)
-        times = np.array(  # the engine's time of each tick, the end of the run for the closing rows
-            [round(k * spec.tick_s, 4) if k <= n_ticks else round(spec.duration_s, 4) for k in ticks.tolist()]
-        )
+        self._n = n = len(plan.spec.roster())
+        times, row_time = plan.times
         pair = plan.a.astype(np.int64) * n + plan.b
-        # a pair's rows, in plan order, alternate up and down from an up
-        order = np.argsort(pair, kind="stable")
-        ups, downs = order[0::2], order[1::2]
-        lengths = times[row_tick[downs]] - times[row_tick[ups]]
+        ups, downs = paired_rows(pair)
+        lengths = times[row_time[downs]] - times[row_time[ups]]
         # each down by pair, then time: its pair, its tick, the pair's seconds up to it
         self._pairs = pair[downs]
         self._ticks = plan.tick[downs]
@@ -414,7 +401,8 @@ def contact_plan(spec: ScenarioSpec, seed: int) -> ContactPlan:
 
 def contact_log_lines(plan: ContactPlan) -> list[str]:
     """The plan's contact log: a line per transition and per closing down, in
-    (time, a, b) order with the nodes ranked by NodeId.sort_key.
+    (time, a, b) order with the nodes ranked by NodeId.sort_key, times to
+    two places.
 
     One stable lexsort on (time, rank(a) * N + rank(b)) gives that order;
     each node's name and each tick's time stamp is formatted once."""
@@ -422,7 +410,11 @@ def contact_log_lines(plan: ContactPlan) -> list[str]:
     names = [str(node) for node in nodes]
     rank = np.empty(len(nodes), dtype=np.int64)
     rank[sorted(range(len(nodes)), key=lambda i: nodes[i].sort_key)] = np.arange(len(nodes))
-    times, row_time = plan.times()
+    engine_times, row_time = plan.times
+    n_ticks = round(plan.spec.duration_s / plan.spec.tick_s)
+    times = [round(time, 2) for time in engine_times.tolist()]
+    if len(plan.tick) and plan.tick[-1] > n_ticks:  # the closing rows: not round(round(d, 4), 2)
+        times[-1] = round(plan.spec.duration_s, 2)
     # by time, not tick: the closing downs share a stamp with the last tick
     order = np.lexsort((rank[plan.a] * len(nodes) + rank[plan.b], np.array(times)[row_time]))
     stamps = [f"@{time:.2f}" for time in times]
@@ -516,10 +508,6 @@ class SimOutput:
     eligible_encounters: int = 0
     fallbacks: int = 0
     audit: AuditTrail | None = None
-
-    @property
-    def contact_events(self) -> list[ContactEvent]:
-        return self.plan.contact_events
 
 
 class Simulation:

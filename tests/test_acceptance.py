@@ -44,7 +44,6 @@ from dtnlab.pipeline import (
     write_run,
 )
 from dtnlab.reports import (
-    ContactEvent,
     DeliveryRecord,
     NodeId,
     RelayEvent,
@@ -58,11 +57,11 @@ from dtnlab.reports import (
     residency_log_lines,
 )
 from dtnlab.routing import DecisionCache, RelayQuery
-from dtnlab.scenario import MapSpec, desk_scenario, with_regime
+from dtnlab.scenario import desk_scenario, with_regime
 from dtnlab.serve import HttpPredictor, InProcessPredictor
 from dtnlab.simcore import contact_log_lines, run_simulation
-from contact_log_reference import format_contact_event
-from helpers import numeric_gradients, running_server
+from contact_log_reference import ContactEvent, format_contact_event, log_events, log_of, plan_events
+from helpers import URBAN, numeric_gradients, running_server
 
 
 def render_logs(out) -> str:
@@ -167,7 +166,7 @@ def random_delivery(rng: random.Random, i: int) -> DeliveryRecord:
 
 
 def test_c02_log_format_golden_files_and_round_trips():
-    events = parse_contact_lines(GOLDEN_CONNECTIVITY.splitlines())
+    events = log_events(parse_contact_lines(GOLDEN_CONNECTIVITY.splitlines()))
     assert "\n".join(format_contact_event(e) for e in events) + "\n" == (
         GOLDEN_CONNECTIVITY
     )
@@ -177,8 +176,8 @@ def test_c02_log_format_golden_files_and_round_trips():
     rng = random.Random(202)
     contacts = random_contacts(rng, 10_000)
     contact_lines = [format_contact_event(e) for e in contacts]
-    assert parse_contact_lines(contact_lines) == contacts
-    assert [format_contact_event(e) for e in parse_contact_lines(contact_lines)] == (
+    assert log_events(parse_contact_lines(contact_lines)) == contacts
+    assert [format_contact_event(e) for e in log_events(parse_contact_lines(contact_lines))] == (
         contact_lines
     )
 
@@ -309,7 +308,7 @@ def test_c03_feature_extraction_matches_brute_force():
     for trial in range(100):
         n_events = 10_000 if trial < 2 else rng.randint(60, 900)
         nodes, contacts, deliveries = random_run_logs(rng, n_events)
-        assert extract_features(nodes, contacts, deliveries) == brute_force_features(
+        assert extract_features(nodes, log_of(contacts), deliveries) == brute_force_features(
             nodes, contacts, deliveries
         )
 
@@ -592,22 +591,10 @@ def test_c10_desk_scale_classifier_band(tmp_path):
 
 # ------------------------------------------------------------ criteria 11+12
 
-# Dense-city sweep profile: a 12x12 street grid with crawling pedestrians,
+# Dense-city sweep profile (helpers.URBAN): a 12x12 street grid with crawling pedestrians,
 # car traffic between two hospitals, short-lived messages, and radio fast
 # enough that a drive-by empties a queue.  Two population mixes, both
 # regimes, three seeds.
-URBAN = dict(
-    map=MapSpec(kind="grid", rows=12, cols=12, spacing_m=100.0),
-    hotspots=(65, 66, 77, 78, 104),
-    accident_vertex=53,
-    hospital_vertices=(39, 102),
-    pedestrian_speed_ms=(0.15, 0.45),
-    pedestrian_pause_s=(60.0, 300.0),
-    ttl_s=1200.0,
-    copies=12,
-    bandwidth_bps=20_000_000.0,
-    size_bytes=(100_000, 200_000),
-)
 SWEEP_DURATION = 7200.0
 SWEEP_CELLS = ((12, 12), (10, 14))
 SWEEP_SEEDS = (1, 2, 3)
@@ -704,6 +691,6 @@ def test_c13_weekday_generates_more_contacts_than_holiday():
         for seed in (1, 2, 3, 4, 5):
             spec = with_regime(desk_scenario(), regime)
             out = run_simulation(spec, "SprayAndWait", seed)
-            totals.append(sum(1 for ev in out.contact_events if ev.up))
+            totals.append(sum(1 for ev in plan_events(out.plan) if ev.up))
         means[regime] = statistics.fmean(totals)
     assert means["weekday"] > means["holiday"]

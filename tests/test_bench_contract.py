@@ -90,6 +90,40 @@ def test_tracer_counts_the_gate_of_a_traced_run(bench_modules):
     assert t.counts["cache_hits"] + t.counts["cache_misses"] > 0
 
 
+def test_tracer_times_the_reader_and_extract_of_every_run(bench_modules, tmp_path):
+    # read_run must call the contact-log reader, and dataset_from_runs the
+    # extract, through pipeline's module globals, or reports.parse_s and
+    # features.extract_s stop measuring them
+    from dtnlab import pipeline, simcore
+    from dtnlab.scenario import desk_scenario
+
+    _, tracer = bench_modules
+    spec = desk_scenario(4, 4, duration_s=120.0)
+    runs = []
+    for seed in (1, 2, 3):
+        runs.append(tmp_path / f"run{seed}")
+        pipeline.write_run(runs[-1], simcore.run_simulation(spec, "SprayAndWait", seed), spec)
+    t = tracer.Tracer()
+    contact_logs = []
+    try:
+        tracer.install(t)
+        traced = pipeline.parse_contact_lines
+
+        def reader(lines):
+            contact_logs.append(lines)
+            return traced(lines)
+
+        pipeline.parse_contact_lines = reader
+        pipeline.dataset_from_runs(runs)
+    finally:
+        t.uninstall()
+    assert pipeline.parse_contact_lines.__module__ == "dtnlab.reports"
+    assert len(contact_logs) == len(runs)
+    # one span for each of a run's four logs, the contact log's among them
+    assert t.ncalls("reports.parse", "pipeline.read_run") == 4 * len(runs)
+    assert t.ncalls("features.extract") == len(runs)
+
+
 def test_loop_uses_only_names_the_package_has(bench_modules):
     loop, _ = bench_modules
     tree = ast.parse((BENCH / "loop.py").read_text())

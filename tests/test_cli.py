@@ -6,6 +6,8 @@ import filecmp
 import hashlib
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -18,6 +20,7 @@ import dtnlab
 import dtnlab.pipeline as pipeline
 from dtnlab import cli
 from dtnlab.cli import main
+from dtnlab.features import assemble_dataset, save_dataset
 from dtnlab.mobility import grid_map, save_map
 from dtnlab.pipeline import load_predictor
 from dtnlab.routing import FEATURE_NAMES
@@ -34,7 +37,8 @@ from dtnlab.scenario import (
     with_regime,
 )
 from dtnlab.serve import HttpPredictor
-from helpers import running_server
+import contact_log_reference as reference
+from helpers import URBAN, running_server
 
 
 @pytest.fixture(scope="module")
@@ -249,19 +253,6 @@ class TestSimulate:
 
 
 DESK = desk_scenario(8, 8, duration_s=900.0)
-# The urban profile of bench/loop.py and of the acceptance sweep.
-URBAN = dict(
-    map=MapSpec(kind="grid", rows=12, cols=12, spacing_m=100.0),
-    hotspots=(65, 66, 77, 78, 104),
-    accident_vertex=53,
-    hospital_vertices=(39, 102),
-    pedestrian_speed_ms=(0.15, 0.45),
-    pedestrian_pause_s=(60.0, 300.0),
-    ttl_s=1200.0,
-    copies=12,
-    bandwidth_bps=20_000_000.0,
-    size_bytes=(100_000, 200_000),
-)
 # Every manifest's config_sha256 is the digest of scenario_ini(spec), so these
 # bytes must not move.  The file map's path is relative to the working directory.
 GOLDEN_SCENARIOS = {
@@ -554,6 +545,43 @@ class TestExtract:
         assert err.startswith(f"error: run directory {run}: ") and reason in err
         assert not (tmp_path / "d").exists()
 
+    def test_mutated_contact_logs_extract_or_exit_2_as_the_oracle_does(
+        self, workspace, tmp_path, capsys
+    ):
+        """Seeded mutations of one run's contact log, each through `dtnlab
+        extract`: it writes the dataset of the frozen per-event extract's
+        rows, or exits 2 with that extract's message under the file's or the
+        run directory's name.  Any other exception fails the test."""
+        source = workspace / "run1"
+        text = (source / "connectivity.txt").read_bytes()
+        record = pipeline.read_run(source)
+        m = record.manifest
+        cohort = f"{m['scenario']}:{m['regime']}:s{m['seed']}"
+        names = sorted({str(node) for node in record.nodes})
+        rng = random.Random(2304)
+        seen = []
+        for case in range(72):
+            kind = ("truncate", "drop", "duplicate", "swap", "flip", "rename")[case % 6]
+            run = tmp_path / f"run{case}"
+            shutil.copytree(source, run)
+            (run / "connectivity.txt").write_bytes(mutate_log(rng, kind, text, names))
+            out = tmp_path / f"dataset{case}"
+            rc = main(["extract", "--logs", str(run), "--out", str(out)])
+            expected = oracle_extract(run, record)
+            if isinstance(expected, str):
+                assert (rc, capsys.readouterr().err) == (2, expected), kind
+                seen.append(expected)
+            else:
+                capsys.readouterr()
+                assert rc == 0, kind
+                save_dataset(assemble_dataset([(cohort, expected)]), tmp_path / "expected")
+                for name in ("dataset.csv", "metadata.json"):
+                    assert (out / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+                seen.append("rows")
+        for outcome in ("rows", "not a connectivity event", "never closed", "dropped while down",
+                        "raised while already up", "not in the run", "can't decode"):
+            assert any(outcome in got for got in seen), outcome
+
     @pytest.mark.parametrize(
         "edit, reason",
         [
@@ -577,6 +605,44 @@ class TestExtract:
         (run / "manifest.json").write_text(json.dumps(manifest))
         assert main(["extract", "--logs", str(run), "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err == f"error: {run / 'manifest.json'}: {reason}\n"
+
+
+def mutate_log(rng: random.Random, kind: str, text: bytes, names: list[str]) -> bytes:
+    """The log with one fault of the given kind, at a random place."""
+    lines = text.splitlines(keepends=True)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if kind == "truncate":  # part way through a line
+        cut = sum(map(len, lines[:i])) + rng.randrange(1, len(lines[i]) - 1)
+        return text[:cut]
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "flip":
+        flipped = bytearray(text)
+        flipped[rng.randrange(len(text))] ^= 1 << rng.choice((0, 1, 2, 4, 7))  # 7: not UTF-8
+        return bytes(flipped)
+    else:  # everywhere: to another node of the run, a node outside it, or another name of it
+        old = rng.choice(names)
+        new = rng.choice([rng.choice(names), "p98", old[0] + "0" + old[1:]])
+        return re.sub(rf"\b{old}\b".encode(), new.encode(), text)
+    return b"".join(lines)
+
+
+def oracle_extract(run: Path, record):
+    """What the frozen per-event reader and extract make of the run's contact
+    log: its rows, or the error line `dtnlab extract` prints for it."""
+    path = run / "connectivity.txt"
+    try:
+        events = reference.parse_contact_lines(path.read_text().splitlines())
+    except ValueError as err:  # a ParseError naming the line, or bytes that are not text
+        return f"error: {path}: {err}\n"
+    try:
+        return reference.extract_features(record.nodes, events, record.deliveries)
+    except ValueError as err:
+        return f"error: run directory {run}: {err}\n"
 
 
 class TestTrainAndTune:

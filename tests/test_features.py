@@ -23,10 +23,14 @@ from dtnlab.features import (
     stratified_split,
 )
 from dtnlab.nodes import NodeId
-from dtnlab.reports import ContactEvent, DeliveryRecord
+from dtnlab.pipeline import LOG_FILES, read_run, write_run
+from dtnlab.reports import DeliveryRecord, parse_contact_lines
 from dtnlab.routing import FEATURE_NAMES, SprayAndWaitRouter
-from dtnlab.scenario import desk_scenario
-from dtnlab.simcore import Simulation
+from dtnlab.scenario import desk_scenario, with_regime
+from dtnlab.simcore import Simulation, contact_log_lines, run_simulation
+import contact_log_reference as reference
+from contact_log_reference import ContactEvent, log_of, plan_events
+from helpers import acceptance_scenarios, urban_spec
 
 P0, P1, C0 = NodeId.parse("p0"), NodeId.parse("p1"), NodeId.parse("c0")
 A0, H0 = NodeId.parse("a0"), NodeId.parse("h0")
@@ -78,7 +82,7 @@ class TestExtraction:
 
     def test_hand_computed_rows(self):
         events, deliveries = self.small_logs()
-        rows = extract_features(NODES, events, deliveries)
+        rows = extract_features(NODES, log_of(events), deliveries)
         assert [r["node"] for r in rows] == ["p0", "p1", "c0"]
         p0, p1, c0 = rows
         assert p0["contact_freq"] == 3.0
@@ -95,8 +99,16 @@ class TestExtraction:
         assert p1["avg_delivery_time"] is None
         assert all(r["as_destination_count"] == 0.0 for r in rows)
 
+    def test_degree_counts_unique_partners(self):
+        partners = [P1, C0, C0, NodeId.parse("p2"), P1]
+        events = []
+        for k, partner in enumerate(partners):
+            events += [contact(10.0 * k, P0, partner, True), contact(10.0 * k + 5.0, partner, P0, False)]
+        p0 = extract_features(NODES + [NodeId.parse("p2")], log_of(events), [])[0]
+        assert (p0["contact_freq"], p0["degree"], p0["avg_contact_duration"]) == (5.0, 3.0, 5.0)
+
     def test_stationary_nodes_get_no_row(self):
-        rows = extract_features(NODES, [], [])
+        rows = extract_features(NODES, log_of([]), [])
         assert [r["node"] for r in rows] == ["p0", "p1", "c0"]
         for row in rows:
             assert row["contact_freq"] == 0.0
@@ -107,19 +119,19 @@ class TestExtraction:
         with pytest.raises(ValueError, match="already up"):
             extract_features(
                 NODES,
-                [contact(1.0, P0, P1, True), contact(2.0, P0, P1, True)],
+                log_of([contact(1.0, P0, P1, True), contact(2.0, P0, P1, True)]),
                 [],
             )
         with pytest.raises(ValueError, match="while down"):
-            extract_features(NODES, [contact(1.0, P0, P1, False)], [])
+            extract_features(NODES, log_of([contact(1.0, P0, P1, False)]), [])
         with pytest.raises(ValueError, match="never closed"):
-            extract_features(NODES, [contact(1.0, P0, P1, True)], [])
+            extract_features(NODES, log_of([contact(1.0, P0, P1, True)]), [])
 
     def test_a_log_that_goes_back_in_time_is_refused(self):
         # in file order the down follows its up, but in time it comes first
         events = [contact(5.0, P0, P1, True), contact(1.0, P0, P1, False)]
         with pytest.raises(ValueError, match="^contact log goes back in time: @1.00 after @5.00$"):
-            extract_features(NODES, events, [])
+            extract_features(NODES, log_of(events), [])
         # across pairs too
         events = [
             contact(5.0, P0, P1, True),
@@ -128,26 +140,42 @@ class TestExtraction:
             contact(7.0, P0, C0, False),
         ]
         with pytest.raises(ValueError, match="back in time: @4.00 after @5.00"):
-            extract_features(NODES, events, [])
+            extract_features(NODES, log_of(events), [])
+
+    def test_the_first_faulty_line_is_named(self):
+        # the second line is up while up and goes back in time: pairing first
+        events = [contact(5.0, P0, P1, True), contact(1.0, P1, P0, True)]
+        with pytest.raises(ValueError, match="^link p0-p1 raised while already up$"):
+            extract_features(NODES, log_of(events), [])
+        # a line that goes back in time before a line that pairs wrong
+        events = [contact(5.0, P0, P1, True), contact(4.0, C0, P0, True), contact(6.0, P0, C0, True)]
+        with pytest.raises(ValueError, match="^contact log goes back in time: @4.00 after @5.00$"):
+            extract_features(NODES, log_of(events), [])
+        # the link is named by its nodes' names in text order
+        p9, p10 = NodeId.parse("p9"), NodeId.parse("p10")
+        events = [contact(1.0, p9, p10, True), contact(2.0, p9, p10, True)]
+        with pytest.raises(ValueError, match="^link p10-p9 raised while already up$"):
+            extract_features([p9, p10], log_of(events), [])
 
     def test_a_node_outside_the_run_is_refused(self):
         stranger = NodeId.parse("p98")
         with pytest.raises(ValueError, match="^link p0-p98 names a node not in the run$"):
-            extract_features(NODES, [contact(1.0, P0, stranger, True)], [])
+            extract_features(NODES, log_of([contact(1.0, P0, stranger, True)]), [])
         with pytest.raises(ValueError, match="^delivery of AC0 names p98, not in the run$"):
-            extract_features(NODES, [], [delivery("AC0", [A0, stranger, H0], 60.0)])
+            extract_features(NODES, log_of([]), [delivery("AC0", [A0, stranger, H0], 60.0)])
 
     def test_matches_independent_recount_on_a_real_run(self, desk_run):
         _, out = desk_run
         assert out.deliveries  # the oracle should see some relay traffic
-        rows = extract_features(out.nodes, out.contact_events, out.deliveries)
+        log = parse_contact_lines(contact_log_lines(out.plan))
+        rows = extract_features(out.nodes, log, out.deliveries)
         assert len(rows) == 20
         for row in rows:
             name = row["node"]
             # recount contacts per node by pairing this node's own events
             per_partner: dict[str, list[float]] = {}
             durations = []
-            for ev in out.contact_events:
+            for ev in plan_events(out.plan):
                 pair = {str(ev.a), str(ev.b)}
                 if name not in pair:
                     continue
@@ -182,7 +210,9 @@ class TestExtraction:
         sim, out = desk_run
         rows = {
             row["node"]: row
-            for row in extract_features(out.nodes, out.contact_events, out.deliveries)
+            for row in extract_features(
+                out.nodes, parse_contact_lines(contact_log_lines(out.plan)), out.deliveries
+            )
         }
         assert len(rows) == 20
         # the plan's contact counters at the end of the run, closing downs included
@@ -205,6 +235,136 @@ class TestExtraction:
             assert row["avg_contact_duration"] == pytest.approx(expect)
             assert row["avg_hop_count"] == pytest.approx(own.h_avg)
             assert row["avg_delivery_time"] == pytest.approx(own.t_delay)
+
+
+# The urban training corpus of bench/loop.py: (pedestrians, cars, regime, duration_s).
+URBAN_CORPUS = (
+    (14, 10, "weekday", 450.0),
+    (14, 10, "holiday", 450.0),
+    (12, 12, "weekday", 600.0),
+    (12, 12, "holiday", 600.0),
+    (14, 10, "weekday", 600.0),
+    (14, 10, "holiday", 600.0),
+    (16, 8, "weekday", 900.0),
+    (16, 8, "holiday", 900.0),
+    (12, 12, "weekday", 900.0),
+    (12, 12, "holiday", 900.0),
+    (8, 6, "weekday", 600.0),
+    (8, 6, "holiday", 600.0),
+    (6, 6, "weekday", 900.0),
+    (6, 6, "holiday", 900.0),
+)
+
+
+def outcome(extract, parse, nodes, lines, deliveries=()):
+    """The rows an extract gives on these contact-log lines, or the message
+    it refuses them with."""
+    try:
+        return extract(nodes, parse(lines), list(deliveries))
+    except ValueError as err:
+        return str(err)
+
+
+def random_log_lines(rng: random.Random, names: list[str], contacts: int) -> list[str]:
+    """A well-formed contact log: times that never go back, every link
+    closed, endpoints written either way round."""
+    lines, open_pairs, t = [], [], 0.0
+    while contacts or open_pairs:
+        t = round(t + rng.choice((0.0, 0.1, 0.5, 2.0)), 2)
+        if open_pairs and (not contacts or rng.random() < 0.5):
+            a, b = open_pairs.pop(rng.randrange(len(open_pairs)))
+            lines.append(f"@{t:.2f} {b} <-> {a} down" if rng.random() < 0.5 else f"@{t:.2f} {a} <-> {b} down")
+            continue
+        a, b = rng.sample(names, 2)
+        if any({a, b} == set(pair) for pair in open_pairs):
+            continue
+        open_pairs.append((a, b))
+        lines.append(f"@{t:.2f} {a} <-> {b} up")
+        contacts -= 1
+    return lines
+
+
+def mutate(rng: random.Random, lines: list[str], names: list[str]) -> list[str]:
+    """The lines with one random fault a hand edit or a broken copy could leave."""
+    lines = list(lines)
+    if not lines:
+        return lines
+    i = rng.randrange(len(lines))
+    kind = rng.choice(("drop", "duplicate", "swap", "retime", "flip", "rename"))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "retime":
+        stamp, rest = lines[i].split(" ", 1)
+        lines[i] = f"@{max(0.0, float(stamp[1:]) + rng.choice((-3.0, -0.1, 0.1))):.2f} {rest}"
+    elif kind == "flip":
+        head, state = lines[i].rsplit(" ", 1)
+        lines[i] = f"{head} {'down' if state == 'up' else 'up'}"
+    else:  # another node of the run, a node outside it, or another name of the same node
+        _, a, _, b, _ = lines[i].split(" ")
+        other = rng.choice(names + ["p98", "h7", a[0] + "0" + a[1:]])
+        lines[i] = lines[i].replace(f" {a} ", f" {other} ", 1)
+    return lines
+
+
+class TestColumnExtract:
+    """extract_features on the contact log's columns must equal, bit for bit,
+    the frozen per-event reader and extract (contact_log_reference) on the
+    same logs: the same rows, or the same refusal."""
+
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            pytest.param(lambda: list(acceptance_scenarios()), id="c01"),
+            pytest.param(
+                lambda: [
+                    (urban_spec(p, c, duration, regime), 2300 + k)
+                    for k, (p, c, regime, duration) in enumerate(URBAN_CORPUS)
+                ],
+                id="urban_corpus",
+            ),
+            pytest.param(
+                lambda: [
+                    (with_regime(desk_scenario(70, 70, duration_s=600.0), regime), 1)
+                    for regime in ("weekday", "holiday")
+                ],
+                id="desk_P70_C70",
+            ),
+        ],
+    )
+    def test_equals_the_per_event_extract(self, cases, tmp_path):
+        met = 0
+        for k, (spec, seed) in enumerate(cases()):
+            run = tmp_path / str(k)
+            write_run(run, run_simulation(spec, "SprayAndWait", seed), spec)
+            record = read_run(run)
+            events = reference.parse_contact_lines((run / LOG_FILES["contacts"]).read_text().splitlines())
+            assert reference.log_events(record.contacts) == events
+            rows = extract_features(record.nodes, record.contacts, record.deliveries)
+            expected = reference.extract_features(record.nodes, events, record.deliveries)
+            assert repr(rows) == repr(expected)  # floats to the last bit
+            met += sum(row["contact_freq"] for row in rows)
+        assert met > 0
+
+    def test_faulty_logs_get_the_per_event_refusal(self):
+        rng = random.Random(2302)
+        names = ["p0", "p1", "p2", "p10", "c0", "c1", "a0", "h0"]
+        nodes = [NodeId.parse(name) for name in names]
+        seen = []
+        for _ in range(3000):
+            lines = random_log_lines(rng, names, rng.randint(1, 12))
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                lines = mutate(rng, lines, names)
+            got = outcome(extract_features, parse_contact_lines, nodes, lines)
+            assert got == outcome(reference.extract_features, reference.parse_contact_lines, nodes, lines)
+            seen.append(got if isinstance(got, str) else "rows")
+        for fault in ("rows", "dropped while down", "raised while already up", "not in the run",
+                      "goes back in time", "never closed", "endpoints must differ"):
+            assert any(fault in got for got in seen), fault
 
 
 class TestMinMaxNormalizer:

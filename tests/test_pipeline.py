@@ -32,6 +32,7 @@ from dtnlab.reports import DeliveryRecord, RelayEvent, ResidencyRecord
 from dtnlab.routing import SprayAndWaitRouter
 from dtnlab.scenario import ConfigurationError, desk_scenario, scenario_ini
 from dtnlab.simcore import Simulation, run_simulation
+from contact_log_reference import log_events, plan_events
 
 
 def mk_delivery(msg_id: str, time: float = 100.0, delay: float = 40.0) -> DeliveryRecord:
@@ -139,9 +140,10 @@ class TestRunDirectories:
         _spec, output, run_dir, _metrics = sim_run
         record = read_run(run_dir)
         # the connectivity writer canonicalizes to (time, a, b) order
-        assert record.contacts == sorted(
-            output.contact_events, key=lambda e: (e.time, e.a.sort_key, e.b.sort_key)
+        assert log_events(record.contacts) == sorted(
+            plan_events(output.plan), key=lambda e: (e.time, e.a.sort_key, e.b.sort_key)
         )
+        assert record.nodes == output.nodes
         assert record.deliveries == output.deliveries
         assert record.relays == output.relays
         assert record.residencies == output.residencies

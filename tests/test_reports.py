@@ -10,7 +10,6 @@ import pytest
 from dtnlab.nodes import NodeClass, NodeId
 from dtnlab.reports import (
     DELIVERED_HEADER,
-    ContactEvent,
     DeliveryRecord,
     ParseError,
     RelayEvent,
@@ -26,7 +25,8 @@ from dtnlab.reports import (
 )
 from dtnlab.scenario import ScenarioSpec
 from dtnlab.simcore import ContactPlan, contact_log_lines
-from contact_log_reference import format_contact_event
+from contact_log_reference import ContactEvent, format_contact_event, log_events
+from contact_log_reference import parse_contact_lines as reference_parse_contact_lines
 
 # Golden excerpts in the upstream trace formats; parsers and writers must
 # reproduce these byte for byte.
@@ -59,7 +59,11 @@ def _contact(time: float, a: str, b: str, up: bool) -> ContactEvent:
 
 
 def test_connectivity_golden_parse() -> None:
-    events = parse_contact_lines(GOLDEN_CONNECTIVITY.splitlines())
+    log = parse_contact_lines(GOLDEN_CONNECTIVITY.splitlines())
+    assert log.time.dtype == float and log.a.dtype == log.b.dtype == np.int64
+    assert log.up.dtype == bool
+    events = log_events(log)
+    assert events == reference_parse_contact_lines(GOLDEN_CONNECTIVITY.splitlines())
     assert len(events) == 9
     first = events[0]
     assert first.time == 0.10
@@ -73,7 +77,7 @@ def test_connectivity_golden_parse() -> None:
 
 
 def test_connectivity_golden_reformat_is_byte_identical() -> None:
-    events = parse_contact_lines(GOLDEN_CONNECTIVITY.splitlines())
+    events = log_events(parse_contact_lines(GOLDEN_CONNECTIVITY.splitlines()))
     lines = [format_contact_event(e) for e in events]
     assert "\n".join(lines) + "\n" == GOLDEN_CONNECTIVITY
 
@@ -145,8 +149,9 @@ def test_parser_preserves_file_order() -> None:
         "@5.00 p1 <-> p2 up",
         "@1.00 p3 <-> p4 up",
     ]
-    events = parse_contact_lines(lines)
-    assert [e.time for e in events] == [5.0, 1.0]
+    log = parse_contact_lines(lines)
+    assert log.time.tolist() == [5.0, 1.0]
+    assert [str(log.nodes[a]) for a in log.a] == ["p1", "p3"]
 
 
 def _random_contact(rng: random.Random) -> ContactEvent:
@@ -188,9 +193,9 @@ def test_contact_round_trip_random() -> None:
     rng = random.Random(7)
     events = [_random_contact(rng) for _ in range(500)]
     lines = [format_contact_event(e) for e in events]
-    assert parse_contact_lines(lines) == events
+    assert log_events(parse_contact_lines(lines)) == events
     # and write(parse(lines)) reproduces the text
-    assert [format_contact_event(e) for e in parse_contact_lines(lines)] == lines
+    assert [format_contact_event(e) for e in log_events(parse_contact_lines(lines))] == lines
 
 
 def test_delivered_round_trip_random() -> None:
@@ -303,13 +308,44 @@ def test_contact_line_refuses_a_node_linked_to_itself() -> None:
     assert "differ" in err.value.reason
 
 
+def test_names_of_one_node_share_its_index() -> None:
+    log = parse_contact_lines(["@1.00 p03 <-> c1 up", "", "@2.00 c1 <-> p3 down"])
+    assert log.nodes == [NodeId.parse("p3"), NodeId.parse("c1")]
+    assert (log.a.tolist(), log.b.tolist(), log.up.tolist()) == ([0, 1], [1, 0], [True, False])
+    empty = parse_contact_lines([])
+    assert empty.nodes == [] and empty.time.dtype == float and empty.a.dtype == np.int64
+    assert len(empty.time) == len(empty.a) == len(empty.b) == len(empty.up) == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "@0.1 p1 <-> p2 up",
+        "@1.000 p1 <-> p2 up",
+        "@1.00 p1 <-> p2 sideways",
+        "@1.00 p1 <-> x2 up",
+        "@1.00 p1 <-> p01 down",
+        "@1.00 p1 <-> p2 up ",
+        "1.00 p1 <-> p2 up",
+    ],
+)
+def test_a_malformed_contact_line_gets_the_per_event_message(bad) -> None:
+    lines = ["@0.50 p1 <-> p2 up", "", bad]
+    with pytest.raises(ParseError) as want:
+        reference_parse_contact_lines(lines)
+    with pytest.raises(ParseError) as got:
+        parse_contact_lines(lines)
+    assert got.value.line_no == want.value.line_no == 3
+    assert str(got.value) == str(want.value)
+
+
 def test_a_parsed_name_is_one_shared_node() -> None:
     first = NodeId.parse("p13")
     assert NodeId.parse("p13") is first
     assert first == NodeId(NodeClass.PEDESTRIAN, 13)
     assert NodeId.parse("c13") is not first
     parsed = parse_contact_lines(["@1.00 p13 <-> h0 up", "@2.00 p13 <-> h0 down"])
-    assert all(event.a is first for event in parsed)
+    assert parsed.nodes[0] is first and parsed.a.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("bad", ["x1", "p", "p-1", "", "P1", "p1 ", "13"])

@@ -403,13 +403,6 @@ class TestOnlineFeatures:
 
 
 class TestNodeStats:
-    def test_degree_counts_unique_partners(self):
-        stats = NodeStats()
-        for partner in (1, 2, 2, 3, 1):
-            stats.record_contact(partner, 5.0)
-        assert stats.degree == 3
-        assert stats.contacts == 5
-
     def test_delivery_averages_of_relayed_messages(self):
         stats = NodeStats()
         assert stats.h_avg is None and stats.t_delay is None

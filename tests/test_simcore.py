@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtnlab import simcore
+from dtnlab import features, pipeline, reports, simcore
 from dtnlab.mobility import FixedPost, MapGraph, Wanderer, save_map
 from dtnlab.nodes import NodeClass, NodeId
 from dtnlab.pipeline import LOG_FILES, write_run
@@ -54,8 +54,9 @@ from dtnlab.simcore import (
     run_simulation,
 )
 from contact_counters_reference import replay_downs
-from contact_log_reference import contact_log_lines as reference_contact_log_lines
+from contact_log_reference import contact_log_lines as reference_contact_log_lines, plan_events
 from engine_reference import run_per_tick
+from helpers import URBAN, acceptance_scenarios
 
 A0 = NodeId.parse("a0")
 H0 = NodeId.parse("h0")
@@ -300,8 +301,8 @@ class TestTransferTiming:
             assert d.path == (A0, H0)
             assert d.remaining_ttl == math.floor((18000.0 - 4.0) / 60.0)
         # the pair is static: one link up on the first tick, one down at the end
-        ups = [e for e in out.contact_events if e.up]
-        downs = [e for e in out.contact_events if not e.up]
+        ups = [e for e in plan_events(out.plan) if e.up]
+        downs = [e for e in plan_events(out.plan) if not e.up]
         assert [(e.time, str(e.a), str(e.b)) for e in ups] == [(0.1, "a0", "h0")]
         assert [(e.time, str(e.a), str(e.b)) for e in downs] == [(120.0, "a0", "h0")]
 
@@ -317,7 +318,7 @@ class TestTransferTiming:
 
     def test_out_of_range_pair_never_talks(self, tmp_path):
         out = run_simulation(static_pair_spec(tmp_path, gap_m=31.0), "SprayAndWait", seed=1)
-        assert out.contact_events == []
+        assert plan_events(out.plan) == []
         assert out.deliveries == []
         assert out.generated == 4
 
@@ -414,13 +415,13 @@ def triangle_spec(tmp_path, **overrides) -> ScenarioSpec:
 class TestStaticTriangle:
     def test_mutual_range_raises_all_three_links(self, tmp_path):
         out = run_simulation(triangle_spec(tmp_path), "SprayAndWait", seed=1)
-        ups = [e for e in out.contact_events if e.up]
+        ups = [e for e in plan_events(out.plan) if e.up]
         assert [(e.time, str(e.a), str(e.b)) for e in ups] == [
             (0.1, "a0", "h0"),
             (0.1, "a0", "h1"),
             (0.1, "h0", "h1"),
         ]
-        downs = [e for e in out.contact_events if not e.up]
+        downs = [e for e in plan_events(out.plan) if not e.up]
         assert all(e.time == 60.0 for e in downs) and len(downs) == 3
 
     def test_half_duplex_serializes_deliveries(self, tmp_path):
@@ -638,7 +639,7 @@ class TestDeterminism:
     def test_contact_log_alternates_up_down_per_pair(self, desk_out):
         state: dict[tuple[str, str], bool] = {}
         last_time = 0.0
-        for ev in desk_out.contact_events:
+        for ev in plan_events(desk_out.plan):
             assert ev.time >= last_time
             last_time = ev.time
             key = tuple(sorted((str(ev.a), str(ev.b))))
@@ -663,19 +664,6 @@ class TestDeterminism:
 
 
 # --------------------------------------------------------------- golden logs
-
-URBAN = dict(
-    map=MapSpec(kind="grid", rows=12, cols=12, spacing_m=100.0),
-    hotspots=(65, 66, 77, 78, 104),
-    accident_vertex=53,
-    hospital_vertices=(39, 102),
-    pedestrian_speed_ms=(0.15, 0.45),
-    pedestrian_pause_s=(60.0, 300.0),
-    ttl_s=1200.0,
-    copies=12,
-    bandwidth_bps=20_000_000.0,
-    size_bytes=(100_000, 200_000),
-)
 
 # sha256 of each log file, captured from the dense N x N engine that the
 # pair-indexed link detection and the sorted session keys replaced
@@ -800,7 +788,6 @@ class TestContactPlan:
                 for given in (None, plan)
             )
             assert replayed.plan is plan
-            assert replayed.contact_events is plan.contact_events
             assert log_text(replayed) == log_text(fresh)
             assert replayed.deliveries  # the replay carried traffic
 
@@ -967,26 +954,14 @@ class TestBlockContactProcess:
         assert peak < 3_000_000
 
 
-def c01_scenarios():
-    """The (spec, seed) pairs of acceptance criterion c01."""
-    rng = random.Random(101)
-    for _ in range(20):
-        p, c = rng.randint(3, 7), rng.randint(3, 7)
-        regime = rng.choice(("weekday", "holiday"))
-        rng.choice(("SprayAndWait", "RandomRouter", "Epidemic"))
-        seed = rng.randint(1, 10_000)
-        duration = rng.choice((300.0, 450.0, 600.0))
-        yield with_regime(desk_scenario(p, c, duration_s=duration), regime), seed
-
-
 class TestContactLog:
     """The contact log is rendered from the plan's node indices; it must
-    equal, byte for byte, the frozen renderer over the plan's ContactEvents."""
+    equal, byte for byte, the frozen renderer over the plan's events."""
 
     @pytest.mark.parametrize(
         "cases",
         [
-            pytest.param(lambda: list(c01_scenarios()), id="c01"),
+            pytest.param(lambda: list(acceptance_scenarios()), id="c01"),
             pytest.param(
                 lambda: [(spec, seed) for spec in BLOCK_CASES.values() for seed in (1, 2)],
                 id="block_cases",
@@ -1005,22 +980,23 @@ class TestContactLog:
         closing = 0
         for spec, seed in cases():
             plan = contact_plan(spec, seed)
-            assert contact_log_lines(plan) == reference_contact_log_lines(plan.contact_events)
+            assert contact_log_lines(plan) == reference_contact_log_lines(plan_events(plan))
             closing += int((plan.tick > round(spec.duration_s / spec.tick_s)).sum())
         assert closing > 0  # links still up at the end were rendered too
 
-    def test_a_run_and_its_write_build_no_contact_event(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a ContactEvent was built")
-
+    def test_a_run_and_its_write_build_no_contact_event(self, tmp_path):
+        # the contact log has no per-event form in the package: runs replay
+        # the plan's columns, the writer renders them, extract reads columns
+        for module in (simcore, reports, features, pipeline):
+            assert not {"ContactEvent", "parse_contact_line", "contact_events"} & set(vars(module))
         spec = desk_scenario(10, 10, duration_s=600.0)
-        monkeypatch.setattr(simcore, "ContactEvent", refuse)
         out = run_simulation(spec, "SprayAndWait", 1)
         write_run(tmp_path, out, spec)
-        assert "contact_events" not in vars(out.plan)
+        assert not hasattr(out, "contact_events") and not hasattr(out.plan, "contact_events")
+        # the tick times were computed once, for the writer; no router asked
+        # for the contact counters
+        assert "times" in vars(out.plan) and "contact_counters" not in vars(out.plan)
         assert (tmp_path / LOG_FILES["contacts"]).read_text().count("\n") > 0
-        monkeypatch.undo()
-        assert out.contact_events is out.plan.contact_events  # built once, then kept
 
     def test_plan_memory_per_simulated_hour(self):
         spec = desk_scenario(70, 70, duration_s=600.0)
@@ -1148,18 +1124,6 @@ class CountingCuts(Simulation):
 ROUTERS = ("SprayAndWait", "RandomRouter", "Epidemic", "MLPBasedRouter")
 
 
-def acceptance_scenarios():
-    """The (spec, seed) of the 20 scenarios of acceptance criterion c01."""
-    rng = random.Random(101)
-    for _ in range(20):
-        p, c = rng.randint(3, 7), rng.randint(3, 7)
-        regime = rng.choice(("weekday", "holiday"))
-        rng.choice(("SprayAndWait", "RandomRouter", "Epidemic"))
-        seed = rng.randint(1, 10_000)
-        duration = rng.choice((300.0, 450.0, 600.0))
-        yield with_regime(desk_scenario(p, c, duration_s=duration), regime), seed
-
-
 def stepped_and_per_tick(spec: ScenarioSpec, seed: int):
     """Each router's (event-stepped run, its cuts, per-tick run), in audit mode."""
     plan = contact_plan(spec, seed)
@@ -1258,13 +1222,13 @@ class TestContactCounters:
         counters = plan.contact_counters
         n = len(plan.spec.roster())
         steps = 0
-        for k, downs, linked, stats, tally in replay_downs(plan):
+        for k, downs, linked, partners, tally in replay_downs(plan):
             for i, j in downs:  # counted from their own tick on, not before
                 assert counters.pair(i, j, k - 1)[0] == tally[(i, j)][0] - 1
             # the linked pairs' next downs must not count yet
             for i, j in downs + linked:
                 assert counters.pair(i, j, k) == counters.pair(j, i, k) == tally.get((i, j), (0, 0.0))
-            assert [counters.degree(node, k) for node in range(n)] == [s.degree for s in stats]
+            assert [counters.degree(node, k) for node in range(n)] == [len(p) for p in partners]
             steps += 1
         for i in range(n):  # after the closing downs, every pair
             for j in range(i + 1, n):
